@@ -123,7 +123,11 @@ def cmd_benchmark(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_seed = int(os.environ.get("FINSET_SEED", "0"))
+    seed = os.environ.get("FINSET_SEED", "0")
+    try:
+        default_seed = int(seed)
+    except ValueError:
+        raise ValidationError(f"FINSET_SEED must be an integer, got {seed!r}") from None
     parser = argparse.ArgumentParser(
         prog="finset",
         description="Proportional integer partitioning and particle resampling tools",
@@ -169,9 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -130,9 +130,13 @@ def as_allocation(a) -> Allocation:
 
 
 def _check_n(n) -> int:
-    if n != int(n) or int(n) < 1:
+    try:
+        whole = int(n)
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf
+        whole = None
+    if whole is None or n != whole or whole < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
-    return int(n)
+    return whole
 
 
 def _floors_and_residuals(weights: np.ndarray, n: int):
@@ -150,17 +154,23 @@ def lmse_partition(w, n) -> Allocation:
     Floors every expectation n*w[m], then gives one extra unit to each of the
     bins holding the largest fractional residuals until the total reaches n.
     Residual ties are broken by ascending index, so the output is
-    bit-reproducible. O(M log M).
+    bit-reproducible. O(M): a selection finds the surplus-th largest residual.
     """
     wv = as_weights(w)
     n = _check_n(n)
     sizes, res = _floors_and_residuals(wv.weights, n)
     surplus = n - int(sizes.sum())
     if surplus > 0:
-        # stable sort on descending residual keeps ascending index among ties
-        order = np.argsort(-res, kind="stable")
-        sizes = sizes.copy()
-        sizes[order[:surplus]] += 1
+        # surplus exceeds M only once n*w has lost integer precision; every
+        # bin then gets its unit and Allocation rejects the short total.
+        kth = max(res.size - surplus, 0)
+        cut = np.partition(res, kth)[kth]
+        take = res >= cut
+        # ties at the cut that straddle it go to the lowest indices
+        extra = int(np.count_nonzero(take)) - surplus
+        if extra > 0:
+            take[np.flatnonzero(res == cut)[-extra:]] = False
+        sizes += take
     return Allocation(sizes, n)
 
 
@@ -214,9 +224,13 @@ def check_local_optimality(a, w, tol: float = 1e-12) -> bool:
     donors = av.sizes >= 1
     if not donors.any():
         return True
-    delta = (2.0 / m) * (1.0 + d[:, None] - d[None, :])
-    mask = donors[None, :] & ~np.eye(m, dtype=bool)
-    return bool(np.all(delta[mask] > -tol))
+    # The worst receiver for donor q is the smallest d[p] with p != q: the
+    # smallest d overall, or the second smallest when q holds the smallest.
+    lo, second = np.argpartition(d, 1)[:2]
+    worst = np.full(m, d[lo])
+    worst[lo] = d[second]
+    delta = (2.0 / m) * (1.0 + worst - d)
+    return bool(np.all(delta[donors] > -tol))
 
 
 @lru_cache(maxsize=64)

@@ -14,12 +14,18 @@ copies, returned as per-particle copy counts:
 - ``rsr``: residual systematic resampling, a single-sweep recursion with a
   fractional carry, equivalent to systematic at matching offset (1 uniform).
 
+Every CDF is nondecreasing within [0, 1] and ends at exactly 1. The two
+draw-based schemes sort their uniforms and count the draws below each CDF
+value; systematic and rsr share one closed-form kernel, cumulative counts
+ceil(n*cdf - u), which gives M counts summing to n for every offset.
+
 Sampling variance is the mean squared discrepancy between counts and their
 real-valued expectations n*w, identical to the partition MSE metric.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,14 +94,46 @@ def msv_resample(p, n, rng: RngStream | None = None) -> ResampleCounts:
     return ResampleCounts(lmse_partition(_weights_of(p), n))
 
 
+def _cdf(running: np.ndarray) -> np.ndarray:
+    """Turn running sums of nonnegative mass into a CDF, in place.
+
+    Running sums of weights that add to 1 within rounding can pass 1 before
+    the last entry, or end a few ulps short of 1. Every entry at or above the
+    smaller of 1 and the last one is set to 1: the CDF is then nondecreasing
+    within [0, 1], which both count kernels rely on, and ends at 1 without
+    handing a shortfall to trailing zero-mass bins.
+    """
+    running[running >= min(running[-1], 1.0)] = 1.0
+    return running
+
+
+def _add_counts(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Add to counts, in place, the per-bin counts of cumulative counts cum."""
+    counts += cum
+    counts[1:] -= cum[:-1]
+    return counts
+
+
+def _add_draw_counts(counts: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Add the inverse-CDF counts of the uniforms u, which are sorted in place.
+
+    A draw lands in the first bin whose CDF value exceeds it, so the draws
+    landing in bins 0..m number those strictly below cdf[m]. Counts do not
+    depend on draw order, so one sort replaces a random-access search per draw.
+    """
+    u.sort()
+    return _add_counts(counts, np.searchsorted(u, cdf, side="left"))
+
+
 def multinomial_resample(p, n, rng: RngStream) -> ResampleCounts:
     """n independent draws from the weight distribution via inverse CDF."""
     wv = _weights_of(p)
     n = _check_n(n)
-    cdf = np.cumsum(wv.weights)
-    cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.next_uniforms(n), side="right")
-    counts = np.bincount(idx, minlength=len(wv)).astype(np.int64)
+    cdf = _cdf(np.cumsum(wv.weights))
+    u = rng.next_uniforms(n)
+    # counts are allocated after drawing, so they never coexist with the
+    # stream's temporaries and the peak memory stays that of the draw
+    counts = _add_draw_counts(np.zeros(len(wv), dtype=np.int64), cdf, u)
     return ResampleCounts(Allocation(counts, n))
 
 
@@ -107,12 +145,23 @@ def systematic_resample(p, n, rng: RngStream) -> ResampleCounts:
 
 
 def _systematic_counts(wv: WeightVector, n: int, u: float) -> ResampleCounts:
-    cdf = np.cumsum(wv.weights)
-    cdf[-1] = 1.0
-    grid = (u + np.arange(n)) / n
-    idx = np.searchsorted(cdf, grid, side="right")
-    counts = np.bincount(idx, minlength=len(wv)).astype(np.int64)
-    return ResampleCounts(Allocation(counts, n))
+    # Grid point (u + i)/n lies below cdf[m] for i < n*cdf[m] - u, so the
+    # cumulative counts are ceil(n*cdf - u), within [0, n] for cdf in [0, 1]
+    # and u in [0, 1).
+    cdf = _cdf(np.cumsum(wv.weights))
+    cum = np.ceil(n * cdf - u).astype(np.int64)
+    if math.ceil(n - u) < n:
+        # u is within an ulp of 1 and n - u rounds down to n - 1; where cdf
+        # is 1 the count is n, which keeps the total exact and gives
+        # trailing zero-weight particles no copy
+        cum[cdf == 1.0] = n
+    return ResampleCounts(Allocation(_add_counts(np.zeros_like(cum), cum), n))
+
+
+# The RSR carry recursion counts[m] = Floor((w[m] - u_m)*n) + 1, with
+# u_{m+1} = u_m + counts[m]/n - w[m], telescopes to the same cumulative
+# counts ceil(n*cdf - u0): RSR is systematic resampling at the same offset.
+_rsr_counts = _systematic_counts
 
 
 def residual_resample(p, n, rng: RngStream) -> ResampleCounts:
@@ -120,14 +169,14 @@ def residual_resample(p, n, rng: RngStream) -> ResampleCounts:
     wv = _weights_of(p)
     n = _check_n(n)
     counts, res = _floors_and_residuals(wv.weights, n)
-    counts = counts.copy()
     remaining = n - int(counts.sum())
     if remaining > 0:
-        cdf = np.cumsum(res)
-        cdf /= cdf[-1]
-        cdf[-1] = 1.0
-        idx = np.searchsorted(cdf, rng.next_uniforms(remaining), side="right")
-        counts += np.bincount(idx, minlength=len(wv))
+        # n*w that rounds up onto an integer leaves a residual an ulp below 0;
+        # as mass it is 0, and the running sums must not fall. Divided by the
+        # last of them they are a CDF: nondecreasing, within [0, 1], ending at 1.
+        cum = np.cumsum(np.maximum(res, 0.0, out=res))
+        cdf = np.divide(cum, cum[-1], out=cum)
+        _add_draw_counts(counts, cdf, rng.next_uniforms(remaining))
     return ResampleCounts(Allocation(counts, n))
 
 
@@ -136,20 +185,6 @@ def rsr_resample(p, n, rng: RngStream) -> ResampleCounts:
     wv = _weights_of(p)
     n = _check_n(n)
     return _rsr_counts(wv, n, rng.next_uniform())
-
-
-def _rsr_counts(wv: WeightVector, n: int, u0: float) -> ResampleCounts:
-    # The per-bin carry recursion counts[m] = Floor((w[m] - u_m)*n) + 1,
-    # u_{m+1} = u_m + counts[m]/n - w[m], telescopes to cumulative counts
-    # ceil(n*cdf[m] - u0). Computing that form directly keeps the total at
-    # exactly n regardless of rounding.
-    cdf = np.cumsum(wv.weights)
-    cdf[-1] = 1.0
-    cum = np.ceil(n * cdf - u0).astype(np.int64)
-    np.clip(cum, 0, n, out=cum)
-    cum[-1] = n
-    counts = np.diff(cum, prepend=0)
-    return ResampleCounts(Allocation(counts, n))
 
 
 def sampling_variance(c, w) -> float:

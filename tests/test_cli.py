@@ -164,3 +164,11 @@ def test_seed_env_override(tmp_path, monkeypatch, capsys):
         capsys,
     )
     assert out_env == out_explicit
+
+
+def test_bad_seed_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("FINSET_SEED", "abc")
+    code, out, err = run(["partition", "--weights", "0.5,0.5", "--n", "2"], capsys)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.count("\n") == 1 and "FINSET_SEED" in err

@@ -71,6 +71,16 @@ class TestLmsePartition:
         with pytest.raises(ValidationError):
             lmse_partition([1.0], 0)
 
+    @pytest.mark.parametrize("n", [float("nan"), float("inf")])
+    def test_non_finite_n_rejected(self, n):
+        with pytest.raises(ValidationError, match="positive integer"):
+            lmse_partition([0.5, 0.5], n)
+
+    def test_n_past_float_precision_rejected(self):
+        # n*w loses whole units here: the floors leave a surplus of 5 > 2M
+        with pytest.raises(ValidationError):
+            lmse_partition([0.3, 0.7], 2**56 + 1)
+
     def test_n_smaller_than_positive_weight_count(self):
         a = lmse_partition([0.4, 0.3, 0.3], 1)
         assert a.sizes.sum() == 1
@@ -128,6 +138,36 @@ class TestLocalOptimality:
 
     def test_single_bin_trivially_stable(self):
         assert check_local_optimality([7], [1.0])
+
+    def test_matches_all_pairs_oracle(self):
+        g = np.random.default_rng(12)
+        verdicts = set()
+        for trial in range(4000):
+            m = int(g.integers(1, 60))
+            raw = g.lognormal(0.0, 1.0, m) if trial % 2 else g.integers(0, 3, m) + 1.0
+            w = raw / raw.sum()
+            n = int(g.integers(1, 4 * m + 2))
+            sizes = lmse_partition(w, n).sizes.copy()
+            if trial % 3:  # move one unit, usually breaking optimality
+                q, p = g.integers(m, size=2)
+                if sizes[q] > 0:
+                    sizes[q] -= 1
+                    sizes[p] += 1
+            got = check_local_optimality(sizes, w)
+            assert got == all_pairs_local_optimality(sizes, w), trial
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+
+def all_pairs_local_optimality(sizes, w, tol=1e-12):
+    """Reference check: the (2/M)(1 + d[p] - d[q]) transfer matrix over all pairs."""
+    wv = WeightVector(w)
+    a = Allocation(sizes)
+    d = a.sizes - a.total * wv.weights
+    m = len(d)
+    delta = (2.0 / m) * (1.0 + d[:, None] - d[None, :])
+    mask = (a.sizes >= 1)[None, :] & ~np.eye(m, dtype=bool)
+    return bool(np.all(delta[mask] > -tol))
 
 
 class TestBruteForce:

@@ -73,6 +73,17 @@ class TestMultinomial:
         multinomial_resample(pset([0.3, 0.7]), 13, rng)
         assert rng.draws == 13
 
+    def test_largest_uniform_skips_trailing_zero_weight(self):
+        # the running sums of these weights end at 1 - 2**-53, the largest
+        # uniform RngStream emits
+        class TopStream:
+            def next_uniforms(self, k):
+                return np.full(k, 1 - 2**-53)
+
+        w = WeightVector([0.1] * 10 + [0.0])
+        counts = multinomial_resample(w, 3, TopStream()).sizes
+        assert list(counts) == [0] * 9 + [3, 0]
+
 
 class TestSystematic:
     def test_forced_offset_zero_even_split(self):
@@ -90,6 +101,23 @@ class TestSystematic:
         rng = RngStream(1)
         systematic_resample(pset([0.3, 0.7]), 10, rng)
         assert rng.draws == 1
+
+    def test_largest_offset_keeps_m_counts(self):
+        # 1 - 2**-53 is the largest uniform RngStream emits; there the last
+        # grid point (u + n - 1)/n rounds to 1.0, past every CDF entry
+        counts = _systematic_counts(WeightVector([0.46, 0.34, 0.20]), 5, 1 - 2**-53)
+        assert len(counts) == 3
+        assert counts.sizes.sum() == 5
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.5, 0.0], [0.1] * 10 + [0.0, 0.0]])
+    def test_largest_offset_skips_trailing_zero_weights(self, weights):
+        # n - u rounds down to n - 1 here, and the second vector's running
+        # sums end an ulp short of 1
+        w = WeightVector(weights)
+        for kernel in (_systematic_counts, _rsr_counts):
+            counts = kernel(w, 2, 1 - 2**-53).sizes
+            assert counts.sum() == 2
+            assert np.all(counts[w.weights == 0.0] == 0), kernel.__name__
 
 
 class TestResidual:
@@ -186,3 +214,94 @@ def test_msv_never_beaten():
         for name in ("multinomial", "residual", "systematic", "rsr"):
             sv = sampling_variance(RESAMPLERS[name](p, n, RngStream(trial)), p.weights)
             assert best <= sv + 1e-12, name
+
+
+def test_running_sums_above_one_still_give_valid_counts():
+    # heavy-tailed weights whose stored running sums pass 1 before the end
+    raw = np.random.default_rng(53).lognormal(0.0, 10.0, 50)
+    w = WeightVector(raw / raw.sum())
+    assert np.cumsum(w.weights)[:-1].max() > 1.0
+    p = ParticleSet(np.arange(len(w), dtype=float), w)
+    for n in (len(w), 7, 1000):
+        results = {name: fn(p, n, RngStream(n)) for name, fn in RESAMPLERS.items()}
+        results["systematic at offset 0"] = _systematic_counts(w, n, 0.0)
+        for name, c in results.items():
+            assert len(c) == len(w), name
+            assert np.all(c.sizes >= 0), name
+            assert c.sizes.sum() == n, name
+
+
+# Reference kernels: the forms the schemes had before the sorted-draw,
+# cumulative-count and selection kernels. Each takes the stored weights and
+# consumes the stream exactly as its scheme does.
+
+def ref_multinomial(w, n, rng):
+    cdf = np.cumsum(w)
+    cdf[-1] = 1.0
+    idx = np.searchsorted(cdf, rng.next_uniforms(n), side="right")
+    return np.bincount(idx, minlength=w.size)
+
+
+def ref_residual(w, n, rng):
+    floors = np.floor(n * w)
+    res = w - floors / n
+    counts = floors.astype(np.int64)
+    remaining = n - int(counts.sum())
+    if remaining > 0:
+        cdf = np.cumsum(res)
+        cdf /= cdf[-1]
+        cdf[-1] = 1.0
+        idx = np.searchsorted(cdf, rng.next_uniforms(remaining), side="right")
+        counts += np.bincount(idx, minlength=w.size)
+    return counts
+
+
+def ref_systematic(w, n, rng):
+    cdf = np.cumsum(w)
+    cdf[-1] = 1.0
+    grid = (rng.next_uniform() + np.arange(n)) / n
+    return np.bincount(np.searchsorted(cdf, grid, side="right"), minlength=w.size)
+
+
+def ref_msv(w, n, rng):
+    floors = np.floor(n * w)
+    res = w - floors / n
+    sizes = floors.astype(np.int64)
+    surplus = n - int(sizes.sum())
+    if surplus > 0:
+        order = np.argsort(-res, kind="stable")
+        sizes[order[:surplus]] += 1
+    return sizes
+
+
+REFERENCE = {
+    "multinomial": ref_multinomial,
+    "residual": ref_residual,
+    "systematic": ref_systematic,
+    "rsr": ref_systematic,  # RSR is systematic at the same offset
+    "msv": ref_msv,
+}
+
+
+def test_kernels_match_reference():
+    g = np.random.default_rng(24)
+    for trial in range(2000):
+        m = int(g.integers(1, 200))
+        kind = trial % 4
+        if kind == 0:
+            raw = g.random(m)
+        elif kind == 1:
+            raw = g.lognormal(0.0, 3.0, m)
+        elif kind == 2:  # a few distinct values: residual ties
+            raw = g.integers(0, 4, m).astype(float)
+            raw[g.integers(m)] += 1.0
+        else:
+            raw = np.ones(m)
+        w = WeightVector(raw / raw.sum())
+        n = int(g.choice([m, g.integers(1, 3 * m + 2), g.integers(1, 40)]))
+        for name, fn in RESAMPLERS.items():
+            rng, ref_rng = RngStream(trial), RngStream(trial)
+            got = fn(w, n, rng).sizes
+            want = REFERENCE[name](w.weights, n, ref_rng)
+            assert np.array_equal(got, want), (name, trial)
+            assert rng.draws == ref_rng.draws, (name, trial)
