@@ -106,7 +106,7 @@ def cmd_benchmark(args) -> int:
         for m in config.methods:
             lines.append(
                 f"{rec.run},{rec.t},{_fmt(rec.x_true)},{_fmt(rec.y_obs)},"
-                f"{m},{_fmt(rec.estimates[m])},{_fmt(rec.sv[m])}"
+                f"{m},{_fmt(rec.estimate)},{_fmt(rec.sv[m])}"
             )
     _emit(lines, args.output)
 

@@ -85,7 +85,7 @@ class BenchmarkRecord:
     t: int
     x_true: float
     y_obs: float
-    estimates: dict[str, float]
+    estimate: float
     sv: dict[str, float]
 
 
@@ -103,9 +103,7 @@ def measurement(x, t, v, params: ModelParams = ModelParams()):
 
 def likelihood(y_obs, x, t, params: ModelParams = ModelParams()):
     """Gaussian observation density of y_obs given state x at step t."""
-    std = params.obs_noise_std
-    d = (y_obs - measurement(x, t, 0.0, params)) / std
-    return np.exp(-0.5 * d * d) / (math.sqrt(2.0 * math.pi) * std)
+    return np.exp(_log_likelihood(y_obs, x, t, params))
 
 
 def _log_likelihood(y_obs, x, t, params):
@@ -114,22 +112,20 @@ def _log_likelihood(y_obs, x, t, params):
     return -0.5 * d * d - math.log(math.sqrt(2.0 * math.pi) * std)
 
 
-def _reweight(prior_weights, states, y_obs, t, params):
-    """Multiply prior weights by the likelihood and renormalize, in log space."""
+def _propagate_and_weigh(states, prior_weights, y_obs, t, rng, params):
+    """Propagate and reweight: (weighted ParticleSet, its weights, the estimate)."""
+    noise = gammas(rng, params.gamma_shape, params.gamma_scale, states.size)
+    states = state_transition(states, t, noise, params)
     with np.errstate(divide="ignore"):
         logw = np.log(prior_weights) + _log_likelihood(y_obs, states, t, params)
     top = np.max(logw)
     if not np.isfinite(top):
-        raise ParticleCollapseError(
-            f"all particle weights vanished at step {t}"
-        )
+        raise ParticleCollapseError(f"all particle weights vanished at step {t}")
+    # no log weight is nan or +inf once the largest is finite, so the shifted
+    # weights hold a 1 and their total is finite and at least 1
     w = np.exp(logw - top)
-    total = w.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise ParticleCollapseError(
-            f"all particle weights vanished at step {t}"
-        )
-    return w / total
+    w = w / w.sum()
+    return ParticleSet(states, WeightVector(w)), w, float(states @ w)
 
 
 def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
@@ -141,16 +137,12 @@ def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
     """
     if method not in RESAMPLERS:
         raise ValidationError(f"unknown resampling method {method!r}")
-    m = len(p)
-    n_out = m if num_out is None else int(num_out)
-    noise = gammas(rng, params.gamma_shape, params.gamma_scale, m)
-    states = state_transition(p.states, t, noise, params)
-    weights = _reweight(p.weights.weights, states, y_obs, t, params)
-    estimate = float(states @ weights)
-    pset = ParticleSet(states, WeightVector(weights))
+    n_out = len(p) if num_out is None else int(num_out)
+    pset, _, estimate = _propagate_and_weigh(p.states, p.weights.weights, y_obs, t,
+                                             rng, params)
     counts = RESAMPLERS[method](pset, n_out, rng)
     sv = sampling_variance(counts, pset.weights)
-    new_states = states[counts_to_indices(counts)]
+    new_states = pset.states[counts_to_indices(counts)]
     new_set = ParticleSet(new_states, WeightVector(np.full(n_out, 1.0 / n_out)))
     return new_set, estimate, sv
 
@@ -196,16 +188,11 @@ def _run_single(run, run_rng, config, params):
 
     out = []
     for t in range(1, config.num_steps + 1):
-        noise = gammas(filter_rng, params.gamma_shape, params.gamma_scale, npart)
-        states = np.asarray(state_transition(states, t, noise, params))
-        weights = _reweight(weights, states, ys[t - 1], t, params)
-        estimate = float(states @ weights)
-        pset = ParticleSet(states, WeightVector(weights))
-
-        sv = {}
-        for m in config.methods:
-            counts = RESAMPLERS[m](pset, npart, method_rngs[m])
-            sv[m] = sampling_variance(counts, pset.weights)
+        pset, weights, estimate = _propagate_and_weigh(states, weights, ys[t - 1], t,
+                                                       filter_rng, params)
+        states = pset.states
+        sv = {m: sampling_variance(RESAMPLERS[m](pset, npart, rng), pset.weights)
+              for m, rng in method_rngs.items()}
 
         if config.resample_each_step:
             base_counts = RESAMPLERS[config.baseline_method](pset, npart, baseline_rng)
@@ -214,7 +201,7 @@ def _run_single(run, run_rng, config, params):
 
         out.append(BenchmarkRecord(
             run=run, t=t, x_true=float(xs[t - 1]), y_obs=float(ys[t - 1]),
-            estimates={m: estimate for m in config.methods}, sv=sv,
+            estimate=estimate, sv=sv,
         ))
     return out
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -65,10 +64,6 @@ class WeightVector:
     def __len__(self):
         return self.weights.size
 
-    @property
-    def m(self) -> int:
-        return self.weights.size
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -85,7 +80,6 @@ class Allocation:
             as_int = np.asarray(arr, dtype=np.int64)
             if not np.array_equal(as_int, arr):
                 raise ValidationError("sizes must be integers")
-            arr = as_int
         arr = arr.astype(np.int64)
         if np.any(arr < 0):
             i = int(np.flatnonzero(arr < 0)[0])
@@ -101,6 +95,15 @@ class Allocation:
         arr.flags.writeable = False
         object.__setattr__(self, "sizes", arr)
         object.__setattr__(self, "total", total)
+
+    @classmethod
+    def _trusted(cls, sizes: np.ndarray, total: int) -> Allocation:
+        """Freeze int64 sizes the library built to sum to total; no checks."""
+        sizes.flags.writeable = False
+        a = object.__new__(cls)
+        object.__setattr__(a, "sizes", sizes)
+        object.__setattr__(a, "total", total)
+        return a
 
     def __len__(self):
         return self.sizes.size
@@ -134,8 +137,9 @@ def _check_n(n) -> int:
         whole = int(n)
     except (TypeError, ValueError, OverflowError):  # None, nan, inf
         whole = None
-    if whole is None or n != whole or whole < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    # past 2**53 the floats n*w no longer hold every whole unit
+    if whole is None or n != whole or not 1 <= whole <= 2**53:
+        raise ValidationError(f"n must be a positive integer at most 2**53, got {n!r}")
     return whole
 
 
@@ -146,6 +150,15 @@ def _floors_and_residuals(weights: np.ndarray, n: int):
     floors = np.floor(n * weights)
     res = weights - floors / n
     return floors.astype(np.int64), res
+
+
+def _surplus(n: int, floors: np.ndarray) -> int:
+    """Units left after the floors: within [0, M] unless n*w lost whole units."""
+    surplus = n - int(floors.sum())
+    if not 0 <= surplus <= floors.size:
+        raise ValidationError(f"n = {n} is past float precision for these weights: "
+                              f"the floors leave {surplus} units for {floors.size} bins")
+    return surplus
 
 
 def lmse_partition(w, n) -> Allocation:
@@ -159,11 +172,9 @@ def lmse_partition(w, n) -> Allocation:
     wv = as_weights(w)
     n = _check_n(n)
     sizes, res = _floors_and_residuals(wv.weights, n)
-    surplus = n - int(sizes.sum())
+    surplus = _surplus(n, sizes)
     if surplus > 0:
-        # surplus exceeds M only once n*w has lost integer precision; every
-        # bin then gets its unit and Allocation rejects the short total.
-        kth = max(res.size - surplus, 0)
+        kth = res.size - surplus
         cut = np.partition(res, kth)[kth]
         take = res >= cut
         # ties at the cut that straddle it go to the lowest indices
@@ -171,7 +182,7 @@ def lmse_partition(w, n) -> Allocation:
         if extra > 0:
             take[np.flatnonzero(res == cut)[-extra:]] = False
         sizes += take
-    return Allocation(sizes, n)
+    return Allocation._trusted(sizes, n)
 
 
 def residuals(w, n) -> ResidualVector:
@@ -233,17 +244,18 @@ def check_local_optimality(a, w, tol: float = 1e-12) -> bool:
     return bool(np.all(delta[donors] > -tol))
 
 
-@lru_cache(maxsize=64)
-def _compositions(n: int, m: int) -> np.ndarray:
-    """All nonnegative integer m-part compositions of n, shape (C, m)."""
+def _compositions(n: int, m: int, memo: dict) -> np.ndarray:
+    """All nonnegative m-part compositions of n, shape (C, m); memo holds sub-results."""
     if m == 1:
         return np.array([[n]], dtype=np.int32)
-    blocks = []
-    for first in range(n + 1):
-        rest = _compositions(n - first, m - 1)
-        head = np.full((rest.shape[0], 1), first, dtype=np.int32)
-        blocks.append(np.hstack([head, rest]))
-    return np.vstack(blocks)
+    if (n, m) not in memo:
+        blocks = []
+        for first in range(n + 1):
+            rest = _compositions(n - first, m - 1, memo)
+            head = np.full((rest.shape[0], 1), first, dtype=np.int32)
+            blocks.append(np.hstack([head, rest]))
+        memo[n, m] = np.vstack(blocks)
+    return memo[n, m]
 
 
 def brute_force_partition(w, n) -> tuple[Allocation, float]:
@@ -262,8 +274,8 @@ def brute_force_partition(w, n) -> tuple[Allocation, float]:
             f"{count} compositions exceed the enumeration limit "
             f"{BRUTE_FORCE_LIMIT}; shrink n or the number of bins"
         )
-    comps = _compositions(n, m)
+    comps = _compositions(n, m, {})
     d = comps - n * wv.weights
     costs = np.mean(d * d, axis=1)
     best = int(np.argmin(costs))
-    return Allocation(comps[best].copy(), n), float(costs[best])
+    return Allocation._trusted(comps[best].astype(np.int64), n), float(costs[best])

@@ -37,6 +37,7 @@ from .partition import (
     as_weights,
     _check_n,
     _floors_and_residuals,
+    _surplus,
     lmse_partition,
     mse,
 )
@@ -134,7 +135,7 @@ def multinomial_resample(p, n, rng: RngStream) -> ResampleCounts:
     # counts are allocated after drawing, so they never coexist with the
     # stream's temporaries and the peak memory stays that of the draw
     counts = _add_draw_counts(np.zeros(len(wv), dtype=np.int64), cdf, u)
-    return ResampleCounts(Allocation(counts, n))
+    return ResampleCounts(Allocation._trusted(counts, n))
 
 
 def systematic_resample(p, n, rng: RngStream) -> ResampleCounts:
@@ -155,7 +156,7 @@ def _systematic_counts(wv: WeightVector, n: int, u: float) -> ResampleCounts:
         # is 1 the count is n, which keeps the total exact and gives
         # trailing zero-weight particles no copy
         cum[cdf == 1.0] = n
-    return ResampleCounts(Allocation(_add_counts(np.zeros_like(cum), cum), n))
+    return ResampleCounts(Allocation._trusted(_add_counts(np.zeros_like(cum), cum), n))
 
 
 # The RSR carry recursion counts[m] = Floor((w[m] - u_m)*n) + 1, with
@@ -169,7 +170,7 @@ def residual_resample(p, n, rng: RngStream) -> ResampleCounts:
     wv = _weights_of(p)
     n = _check_n(n)
     counts, res = _floors_and_residuals(wv.weights, n)
-    remaining = n - int(counts.sum())
+    remaining = _surplus(n, counts)
     if remaining > 0:
         # n*w that rounds up onto an integer leaves a residual an ulp below 0;
         # as mass it is 0, and the running sums must not fall. Divided by the
@@ -177,7 +178,7 @@ def residual_resample(p, n, rng: RngStream) -> ResampleCounts:
         cum = np.cumsum(np.maximum(res, 0.0, out=res))
         cdf = np.divide(cum, cum[-1], out=cum)
         _add_draw_counts(counts, cdf, rng.next_uniforms(remaining))
-    return ResampleCounts(Allocation(counts, n))
+    return ResampleCounts(Allocation._trusted(counts, n))
 
 
 def rsr_resample(p, n, rng: RngStream) -> ResampleCounts:
@@ -195,8 +196,7 @@ def sampling_variance(c, w) -> float:
 
 def counts_to_indices(c) -> np.ndarray:
     """Expand counts into a sorted index list of length n."""
-    alloc = c.counts if isinstance(c, ResampleCounts) else c
-    return np.repeat(np.arange(len(alloc)), alloc.sizes)
+    return np.repeat(np.arange(len(c)), c.sizes)
 
 
 RESAMPLERS = {

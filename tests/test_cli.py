@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from finset.cli import EXIT_COLLAPSE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
@@ -29,6 +31,14 @@ class TestPartitionCommand:
         assert len(lines) == 3
         assert lines[1].split(",")[3] == "7"
         assert lines[-1].startswith("mse=0.0,")
+
+    def test_n_past_2_53_exits_2(self, capsys):
+        code, out, err = run(
+            ["partition", "--weights", "0.5,0.5", "--n", "100000000000000000000"], capsys
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.count("\n") == 1 and "2**53" in err
 
     def test_invalid_sum_exits_2(self, capsys):
         code, _, err = run(["partition", "--weights", "0.5,0.6", "--n", "4"], capsys)
@@ -138,6 +148,21 @@ class TestBenchmarkCommand:
         assert main(args + ["--output", str(f2)]) == EXIT_OK
         assert f1.read_bytes() == f2.read_bytes()
         assert (tmp_path / "a_agg.csv").read_bytes() == (tmp_path / "b_agg.csv").read_bytes()
+
+    def test_golden_digest(self, tmp_path):
+        # frozen bytes of the records and aggregate CSVs: the CLI byte contract
+        out = tmp_path / "rec.csv"
+        assert main(["benchmark", "--particles", "20", "--steps", "8", "--runs", "3",
+                     "--seed", "7", "--output", str(out)]) == EXIT_OK
+        golden = {
+            "rec.csv":
+                "dae4e7a7f5779ea0a98a82fd224538bcbc4e5d1c261ed82fa3db04fb092244be",
+            "rec_agg.csv":
+                "614e6574bc85d4e735d08449e036d1d58f3d7bec5f0eee45610c8f0b5aa8f96e",
+        }
+        for name, digest in golden.items():
+            data = (tmp_path / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
 
     def test_aggregate_msv_is_minimum(self, tmp_path):
         out = tmp_path / "r.csv"

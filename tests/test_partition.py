@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,6 +82,16 @@ class TestLmsePartition:
         # n*w loses whole units here: the floors leave a surplus of 5 > 2M
         with pytest.raises(ValidationError):
             lmse_partition([0.3, 0.7], 2**56 + 1)
+
+    def test_n_up_to_2_53_accepted(self):
+        assert list(lmse_partition([0.5, 0.5], 2**53).sizes) == [2**52, 2**52]
+        with pytest.raises(ValidationError, match=r"at most 2\*\*53"):
+            lmse_partition([0.5, 0.5], 2**53 + 1)
+
+    def test_floors_past_float_precision_rejected(self):
+        # n is below 2**53, but n*w rounds up: the floors already exceed n
+        with pytest.raises(ValidationError, match="float precision"):
+            lmse_partition([0.18092580658734178, 0.8190741934126583], 9007199254447305)
 
     def test_n_smaller_than_positive_weight_count(self):
         a = lmse_partition([0.4, 0.3, 0.3], 1)
@@ -181,6 +193,18 @@ class TestBruteForce:
         assert list(alloc.sizes) == [1, 1] and cost == pytest.approx(0.0)
         alloc, cost = brute_force_partition([1.0], 4)
         assert list(alloc.sizes) == [4] and cost == pytest.approx(0.0)
+
+    def test_enumeration_released_after_call(self):
+        # 1.2M compositions; none of them may stay cached once the call returns
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = brute_force_partition(np.full(6, 1 / 6), 40)
+            del result
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
 
     def test_scale_guard(self):
         w = np.full(20, 1 / 20)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from finset.partition import ValidationError, WeightVector
+from finset.partition import (
+    Allocation,
+    ValidationError,
+    WeightVector,
+    brute_force_partition,
+    lmse_partition,
+)
 from finset.resampling import (
     RESAMPLERS,
     ParticleSet,
@@ -138,6 +144,12 @@ class TestResidual:
         assert list(residual_resample(pset([1.0]), 3, rng).sizes) == [3]
         assert rng.draws == 0
 
+    def test_floors_past_float_precision_rejected(self):
+        # n is below 2**53, but n*w rounds up: the floors already exceed n
+        w = pset([0.18092580658734178, 0.8190741934126583])
+        with pytest.raises(ValidationError, match="float precision"):
+            residual_resample(w, 9007199254447305, RngStream(0))
+
 
 class TestRsr:
     def test_single_particle(self):
@@ -185,6 +197,22 @@ def test_all_schemes_sum_to_n_and_reproduce():
             c2 = fn(p, n, RngStream(trial))
             assert c1.sizes.sum() == n, name
             assert np.array_equal(c1.sizes, c2.sizes), name
+
+
+def test_library_built_counts_are_frozen_int64():
+    g = np.random.default_rng(25)
+    for trial in range(200):
+        m = int(g.integers(1, 7))
+        n = int(g.integers(1, 13))
+        raw = g.random(m) ** 2 + 1e-12
+        w = WeightVector(raw / raw.sum())
+        built = {name: fn(w, n, RngStream(trial)).counts for name, fn in RESAMPLERS.items()}
+        built["lmse_partition"] = lmse_partition(w, n)
+        built["brute_force_partition"] = brute_force_partition(w, n)[0]
+        for name, a in built.items():
+            assert type(a) is Allocation, name
+            assert a.sizes.dtype == np.int64 and not a.sizes.flags.writeable, name
+            assert a.sizes.shape == (m,) and a.sizes.sum() == a.total == n, name
 
 
 def test_floor_bracket_for_deterministic_schemes():
