@@ -14,8 +14,8 @@ import os
 import sys
 
 from .model import (
+    METHODS,
     BenchmarkConfig,
-    ModelParams,
     ParticleCollapseError,
     aggregate_mean_sv,
     run_benchmark,
@@ -100,7 +100,7 @@ def cmd_benchmark(args) -> int:
         baseline_method=args.baseline,
         resample_each_step=not args.no_step_resampling,
     )
-    records = run_benchmark(config, ModelParams())
+    records = run_benchmark(config)
     lines = ["run,t,x_true,y_obs,method,estimate,sv"]
     for rec in records:
         for m in config.methods:
@@ -110,10 +110,9 @@ def cmd_benchmark(args) -> int:
             )
     _emit(lines, args.output)
 
-    agg = aggregate_mean_sv(records)
     agg_lines = ["t,method,mean_sv"]
-    for (t, m) in sorted(agg, key=lambda k: (k[0], config.methods.index(k[1]))):
-        agg_lines.append(f"{t},{m},{_fmt(agg[(t, m)])}")
+    for (t, m), mean_sv in aggregate_mean_sv(records).items():
+        agg_lines.append(f"{t},{m},{_fmt(mean_sv)}")
     agg_path = args.aggregate
     if agg_path is None and args.output is not None:
         root, ext = os.path.splitext(args.output)
@@ -152,15 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.set_defaults(func=cmd_resample)
 
     p_bench = sub.add_parser("benchmark", help="SIR filter resampling comparison")
-    p_bench.add_argument("--particles", type=int, default=100)
-    p_bench.add_argument("--steps", type=int, default=60)
-    p_bench.add_argument("--runs", type=int, default=100)
+    p_bench.add_argument("--particles", type=int, default=BenchmarkConfig.num_particles)
+    p_bench.add_argument("--steps", type=int, default=BenchmarkConfig.num_steps)
+    p_bench.add_argument("--runs", type=int, default=BenchmarkConfig.num_mc_runs)
     p_bench.add_argument("--seed", type=int, default=default_seed)
     p_bench.add_argument(
-        "--methods", default="multinomial,residual,systematic,rsr,msv",
+        "--methods", default=",".join(METHODS),
         help="comma-separated subset of the five schemes",
     )
-    p_bench.add_argument("--baseline", default="systematic",
+    p_bench.add_argument("--baseline", default=BenchmarkConfig.baseline_method,
                          choices=sorted(RESAMPLERS),
                          help="scheme that advances the shared population")
     p_bench.add_argument("--no-step-resampling", action="store_true",

@@ -29,7 +29,7 @@ from .resampling import (
 )
 from .rng import RngStream, gammas, normals
 
-METHODS = ("multinomial", "residual", "systematic", "rsr", "msv")
+METHODS = tuple(RESAMPLERS)
 
 
 class ParticleCollapseError(RuntimeError):
@@ -71,10 +71,15 @@ class BenchmarkConfig:
             raise ValidationError("particles, steps and runs must be >= 1")
         if not self.methods:
             raise ValidationError("at least one resampling method is required")
-        for m in tuple(self.methods) + (self.baseline_method,):
+        methods = tuple(self.methods)
+        for m in methods + (self.baseline_method,):
             if m not in RESAMPLERS:
                 raise ValidationError(f"unknown resampling method {m!r}")
-        object.__setattr__(self, "methods", tuple(self.methods))
+        # each method draws from its own stream, keyed by the method's name
+        repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
+        if repeated:
+            raise ValidationError(f"resampling method {repeated[0]!r} is listed twice")
+        object.__setattr__(self, "methods", methods)
 
 
 @dataclass(frozen=True)

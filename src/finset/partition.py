@@ -30,7 +30,7 @@ class ValidationError(ValueError):
     """Invalid weights, allocations, or arguments."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """M nonnegative proportions summing to one.
 
@@ -65,7 +65,7 @@ class WeightVector:
         return self.weights.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Allocation:
     """M nonnegative integer bin sizes summing exactly to ``total``."""
 
@@ -74,27 +74,33 @@ class Allocation:
 
     def __init__(self, sizes, total=None):
         arr = np.atleast_1d(np.asarray(sizes))
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidationError("sizes must be a non-empty 1-d sequence")
-        if not np.issubdtype(arr.dtype, np.integer):
-            as_int = np.asarray(arr, dtype=np.int64)
-            if not np.array_equal(as_int, arr):
-                raise ValidationError("sizes must be integers")
+        if arr.ndim != 1 or arr.size < 1 or arr.dtype.kind not in "biufO":
+            raise ValidationError("sizes must be a non-empty 1-d sequence of integers")
+        if arr.dtype.kind in "fO":
+            try:  # floats, or Python ints past int64 (an object array)
+                num = arr.astype(float)
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError("sizes must be integers") from None
+            whole = np.isfinite(num) & (num == np.floor(num))
+            if not whole.all():
+                i = int(np.flatnonzero(~whole)[0])
+                raise ValidationError(f"size {arr[i]} at index {i} is not an integer")
+            arr = num
+        for bad, msg in ((arr < 0, "negative size {} at index {}"),
+                         (arr > 2**53, "size {} at index {} is past 2**53")):
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise ValidationError(msg.format(int(arr[i]), i))
         arr = arr.astype(np.int64)
-        if np.any(arr < 0):
-            i = int(np.flatnonzero(arr < 0)[0])
-            raise ValidationError(f"negative size {arr[i]} at index {i}")
-        s = int(arr.sum())
-        if total is None:
-            total = s
-        total = int(total)
-        if s != total:
+        # 2**53 is the limit on n that _check_n states. A float sum of whole
+        # numbers is exact up to it, and at most it the int64 sum cannot wrap.
+        if arr.sum(dtype=float) > 2**53 or not 1 <= (s := int(arr.sum())) <= 2**53:
+            raise ValidationError("sizes must sum to a positive integer at most 2**53")
+        if total is not None and total != s:
             raise ValidationError(f"sizes sum to {s}, declared total is {total}")
-        if total < 1:
-            raise ValidationError("total must be a positive integer")
         arr.flags.writeable = False
         object.__setattr__(self, "sizes", arr)
-        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "total", s)
 
     @classmethod
     def _trusted(cls, sizes: np.ndarray, total: int) -> Allocation:
@@ -109,14 +115,14 @@ class Allocation:
         return self.sizes.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualVector:
     """Fractional residuals w[m] - Floor(n*w[m])/n, each in [0, 1/n)."""
 
     residuals: np.ndarray
 
     def __init__(self, residuals):
-        arr = np.atleast_1d(np.asarray(residuals, dtype=float))
+        arr = np.array(residuals, dtype=float, ndmin=1)  # a copy: the caller's stays writeable
         arr.flags.writeable = False
         object.__setattr__(self, "residuals", arr)
 
@@ -193,7 +199,8 @@ def residuals(w, n) -> ResidualVector:
     return ResidualVector(res)
 
 
-def _discrepancy(a: Allocation, wv: WeightVector) -> np.ndarray:
+def _discrepancy(a, w) -> np.ndarray:
+    a, wv = as_allocation(a), as_weights(w)
     if len(a) != len(wv):
         raise ValidationError(
             f"length mismatch: {len(a)} sizes vs {len(wv)} weights"
@@ -203,19 +210,19 @@ def _discrepancy(a: Allocation, wv: WeightVector) -> np.ndarray:
 
 def mse(a, w) -> float:
     """Mean squared discrepancy (1/M) * sum (size[m] - N*w[m])^2."""
-    d = _discrepancy(as_allocation(a), as_weights(w))
+    d = _discrepancy(a, w)
     return float(np.mean(d * d))
 
 
 def mae(a, w) -> float:
     """Mean absolute discrepancy (1/M) * sum |size[m] - N*w[m]|."""
-    d = _discrepancy(as_allocation(a), as_weights(w))
+    d = _discrepancy(a, w)
     return float(np.mean(np.abs(d)))
 
 
 def check_theory1_bound(a, w) -> bool:
     """True iff |size[m] - N*w[m]| < 1 strictly, for every bin."""
-    d = _discrepancy(as_allocation(a), as_weights(w))
+    d = _discrepancy(a, w)
     return bool(np.all(np.abs(d) < 1.0))
 
 
@@ -227,13 +234,9 @@ def check_local_optimality(a, w, tol: float = 1e-12) -> bool:
     passes when every such change exceeds -tol.
     """
     av = as_allocation(a)
-    wv = as_weights(w)
-    d = _discrepancy(av, wv)
+    d = _discrepancy(av, w)
     m = len(d)
     if m == 1:
-        return True
-    donors = av.sizes >= 1
-    if not donors.any():
         return True
     # The worst receiver for donor q is the smallest d[p] with p != q: the
     # smallest d overall, or the second smallest when q holds the smallest.
@@ -241,7 +244,7 @@ def check_local_optimality(a, w, tol: float = 1e-12) -> bool:
     worst = np.full(m, d[lo])
     worst[lo] = d[second]
     delta = (2.0 / m) * (1.0 + worst - d)
-    return bool(np.all(delta[donors] > -tol))
+    return bool(np.all(delta[av.sizes >= 1] > -tol))
 
 
 def _compositions(n: int, m: int, memo: dict) -> np.ndarray:

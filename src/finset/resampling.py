@@ -12,7 +12,9 @@ copies, returned as per-particle copy counts:
 - ``systematic``: one uniform offset, grid (u + i)/n swept through the CDF
   (1 uniform).
 - ``rsr``: residual systematic resampling, a single-sweep recursion with a
-  fractional carry, equivalent to systematic at matching offset (1 uniform).
+  fractional carry. Its counts telescope to systematic's at the same offset,
+  so ``rsr_resample`` is the systematic entry point under RSR's name
+  (1 uniform).
 
 Every CDF is nondecreasing within [0, 1] and ends at exactly 1. The two
 draw-based schemes sort their uniforms and count the draws below each CDF
@@ -44,7 +46,7 @@ from .partition import (
 from .rng import RngStream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParticleSet:
     """States plus a WeightVector of matching length."""
 
@@ -52,7 +54,7 @@ class ParticleSet:
     weights: WeightVector
 
     def __init__(self, states, weights):
-        arr = np.atleast_1d(np.asarray(states, dtype=float))
+        arr = np.array(states, dtype=float, ndmin=1)  # a copy: the caller's stays writeable
         wv = as_weights(weights)
         if arr.ndim != 1:
             raise ValidationError("states must be 1-d")
@@ -68,7 +70,7 @@ class ParticleSet:
         return self.states.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResampleCounts:
     """How many times each particle appears in the resampled set."""
 
@@ -163,6 +165,7 @@ def _systematic_counts(wv: WeightVector, n: int, u: float) -> ResampleCounts:
 # u_{m+1} = u_m + counts[m]/n - w[m], telescopes to the same cumulative
 # counts ceil(n*cdf - u0): RSR is systematic resampling at the same offset.
 _rsr_counts = _systematic_counts
+rsr_resample = systematic_resample
 
 
 def residual_resample(p, n, rng: RngStream) -> ResampleCounts:
@@ -179,13 +182,6 @@ def residual_resample(p, n, rng: RngStream) -> ResampleCounts:
         cdf = np.divide(cum, cum[-1], out=cum)
         _add_draw_counts(counts, cdf, rng.next_uniforms(remaining))
     return ResampleCounts(Allocation._trusted(counts, n))
-
-
-def rsr_resample(p, n, rng: RngStream) -> ResampleCounts:
-    """Residual systematic resampling: one sweep with a fractional carry."""
-    wv = _weights_of(p)
-    n = _check_n(n)
-    return _rsr_counts(wv, n, rng.next_uniform())
 
 
 def sampling_variance(c, w) -> float:

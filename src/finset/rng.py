@@ -73,11 +73,9 @@ class RngStream:
 
 def normals(rng: RngStream, size: int) -> np.ndarray:
     """size standard-normal draws via Box-Muller (2*ceil(size/2) uniforms)."""
-    if size == 0:
-        return np.empty(0)
     pairs = (size + 1) // 2
-    u1 = rng.next_uniforms(pairs)
-    u2 = rng.next_uniforms(pairs)
+    u = rng.next_uniforms(2 * pairs)
+    u1, u2 = u[:pairs], u[pairs:]
     r = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0,1], log is safe
     theta = 2.0 * np.pi * u2
     return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:size]
@@ -87,8 +85,6 @@ def gammas(rng: RngStream, shape: float, scale: float, size: int) -> np.ndarray:
     """size Gamma(shape, scale) draws (scale parametrization, mean shape*scale)."""
     if shape <= 0 or scale <= 0:
         raise ValueError("shape and scale must be positive")
-    if size == 0:
-        return np.empty(0)
     if float(shape).is_integer():
         # sum of `shape` exponentials, fully vectorized
         k = int(shape)

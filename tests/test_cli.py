@@ -164,6 +164,31 @@ class TestBenchmarkCommand:
             data = (tmp_path / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
 
+    @pytest.mark.parametrize("extra, golden", [
+        (["--no-step-resampling"],
+         ("c2f2b83da67cb7112766baa03993db884a5541dbcf449ada34fe1c13b2c91beb",
+          "f7a9f9cd3f3af3cf662f49bc3262fced857b742563dd34f36e00e40559eb3fad")),
+        # a non-default order pins the aggregate rows to the --methods order
+        (["--methods", "msv,multinomial,rsr"],
+         ("99a2f72d8824efda971c51d98bd169d88a193b9f6a138b63a64e359d00ae9fee",
+          "fea2ed5eee8ffe7794c962b5f4cdd51cad898334d88a922cce8c79fe1aa0410e")),
+    ], ids=["no-step-resampling", "method-order"])
+    def test_golden_digest_variants(self, tmp_path, extra, golden):
+        out = tmp_path / "rec.csv"
+        assert main(["benchmark", "--particles", "20", "--steps", "8", "--runs", "3",
+                     "--seed", "7", "--output", str(out)] + extra) == EXIT_OK
+        for name, digest in zip(("rec.csv", "rec_agg.csv"), golden):
+            data = (tmp_path / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
+    def test_repeated_method_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code, _, err = run(["benchmark", "--methods", "systematic,systematic", "--runs", "1",
+                            "--steps", "2", "--particles", "5", "--output", str(out)], capsys)
+        assert code == EXIT_VALIDATION
+        assert err.count("\n") == 1 and "'systematic'" in err
+        assert not out.exists()
+
     def test_aggregate_msv_is_minimum(self, tmp_path):
         out = tmp_path / "r.csv"
         main(["benchmark", "--steps", "10", "--particles", "30", "--runs", "3",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finset.model import (
+    METHODS,
     BenchmarkConfig,
     ModelParams,
     ParticleCollapseError,
@@ -16,7 +17,7 @@ from finset.model import (
     state_transition,
 )
 from finset.partition import ValidationError, WeightVector
-from finset.resampling import ParticleSet
+from finset.resampling import RESAMPLERS, ParticleSet
 from finset.rng import RngStream
 
 DEFAULTS = ModelParams()
@@ -70,6 +71,15 @@ class TestParamValidation:
             BenchmarkConfig(methods=())
         with pytest.raises(ValidationError):
             BenchmarkConfig(methods=("nope",))
+
+    def test_repeated_method_rejected(self):
+        # a repeat would take over the first entry's stream
+        with pytest.raises(ValidationError, match="'rsr' is listed twice"):
+            BenchmarkConfig(methods=("rsr", "msv", "rsr"))
+
+    def test_default_methods_are_the_resamplers(self):
+        assert METHODS == tuple(RESAMPLERS)
+        assert BenchmarkConfig().methods == METHODS
 
 
 class TestSirStep:

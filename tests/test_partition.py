@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,27 @@ class TestAllocation:
     def test_rejects_non_integer(self):
         with pytest.raises(ValidationError):
             Allocation([1.5, 0.5])
+
+    @pytest.mark.parametrize("sizes, message", [
+        ([2**63], r"9223372036854775808 at index 0 is past 2\*\*53"),
+        ([2**62, 2**62], r"at index 0 is past 2\*\*53"),
+        ([float("nan")], "nan at index 0 is not an integer"),
+        ([float("inf")], "inf at index 0 is not an integer"),
+        ([1e30], r"at index 0 is past 2\*\*53"),
+        ([2**53, 1], r"sum to a positive integer at most 2\*\*53"),
+        (np.full(1100, 2**53), r"at most 2\*\*53"),  # its int64 sum wraps
+        ([1 + 2j], "sequence of integers"),
+        ([1, None], "None at index 1 is not an integer"),
+    ], ids=["2**63", "2**62x2", "nan", "inf", "1e30", "sum 2**53+1", "sum wraps", "complex",
+            "None"])
+    def test_rejects_sizes_int64_cannot_hold(self, sizes, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                Allocation(sizes)
+
+    def test_accepts_total_of_2_53(self):
+        assert Allocation([2**53 - 1, 1]).total == 2**53
 
 
 class TestLmsePartition:

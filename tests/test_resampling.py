@@ -3,6 +3,7 @@ import pytest
 
 from finset.partition import (
     Allocation,
+    ResidualVector,
     ValidationError,
     WeightVector,
     brute_force_partition,
@@ -11,6 +12,7 @@ from finset.partition import (
 from finset.resampling import (
     RESAMPLERS,
     ParticleSet,
+    ResampleCounts,
     counts_to_indices,
     msv_resample,
     multinomial_resample,
@@ -37,6 +39,33 @@ class TestParticleSet:
     def test_weight_validation_propagates(self):
         with pytest.raises(ValidationError):
             ParticleSet([1.0, 2.0], [0.5, 0.6])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WeightVector([0.5, 0.5]),
+    lambda: Allocation([1, 2]),
+    lambda: ResidualVector([0.1, 0.2]),
+    lambda: ParticleSet([0.0, 1.0], [0.5, 0.5]),
+    lambda: ResampleCounts(Allocation([1, 2])),
+], ids=["WeightVector", "Allocation", "ResidualVector", "ParticleSet", "ResampleCounts"])
+def test_array_value_types_compare_by_identity(build):
+    a, b = build(), build()
+    assert a == a
+    assert (a == b) is False
+    assert hash(a) == hash(a)
+
+
+@pytest.mark.parametrize("build, stored", [
+    (lambda x: ParticleSet(x, [0.5, 0.5]), lambda v: v.states),
+    (ResidualVector, lambda v: v.residuals),
+], ids=["ParticleSet", "ResidualVector"])
+def test_constructors_leave_the_caller_array_writeable(build, stored):
+    caller = np.array([0.1, 0.2])
+    value = build(caller)
+    assert caller.flags.writeable
+    caller[0] = 7.0
+    assert list(stored(value)) == [0.1, 0.2]
+    assert not stored(value).flags.writeable
 
 
 class TestMsv:
@@ -152,6 +181,10 @@ class TestResidual:
 
 
 class TestRsr:
+    def test_is_the_systematic_entry_point(self):
+        assert rsr_resample is systematic_resample
+        assert RESAMPLERS["rsr"] is RESAMPLERS["systematic"]
+
     def test_single_particle(self):
         assert list(rsr_resample(pset([1.0]), 5, RngStream(2)).sizes) == [5]
 

@@ -76,6 +76,28 @@ def test_normals_odd_size():
     assert normals(RngStream(3), 7).shape == (7,)
 
 
+def test_normals_take_one_box_muller_batch():
+    rng = RngStream(5)
+    x = normals(rng, 7)
+    assert rng.draws == 8
+    u = RngStream(5).next_uniforms(8)
+    r = np.sqrt(-2.0 * np.log1p(-u[:4]))
+    theta = 2.0 * np.pi * u[4:]
+    assert np.array_equal(x, np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:7])
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: normals(rng, 0),
+    lambda rng: gammas(rng, 3, 2, 0),
+    lambda rng: gammas(rng, 2.5, 1, 0),
+], ids=["normals", "gammas integer shape", "gammas fractional shape"])
+def test_zero_size_draws_nothing(draw):
+    rng = RngStream(1)
+    x = draw(rng)
+    assert x.dtype == np.float64 and x.shape == (0,)
+    assert rng.draws == 0
+
+
 def test_gamma_integer_shape_moments():
     g = gammas(RngStream(3), 3, 2, 200_000)
     assert np.all(g > 0)
