@@ -103,11 +103,10 @@ def cmd_benchmark(args) -> int:
     records = run_benchmark(config)
     lines = ["run,t,x_true,y_obs,method,estimate,sv"]
     for rec in records:
+        head = f"{rec.run},{rec.t},{_fmt(rec.x_true)},{_fmt(rec.y_obs)},"
+        estimate = _fmt(rec.estimate)
         for m in config.methods:
-            lines.append(
-                f"{rec.run},{rec.t},{_fmt(rec.x_true)},{_fmt(rec.y_obs)},"
-                f"{m},{_fmt(rec.estimate)},{_fmt(rec.sv[m])}"
-            )
+            lines.append(f"{head}{m},{estimate},{_fmt(rec.sv[m])}")
     _emit(lines, args.output)
 
     agg_lines = ["t,method,mean_sv"]

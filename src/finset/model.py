@@ -11,6 +11,15 @@ pre-resampling weighted population, recording the sampling variance each
 scheme attains. A designated baseline scheme (systematic by default)
 advances the shared population, so the comparison is fair: every scheme sees
 bit-identical inputs at every step.
+
+All runs step together as the rows of (runs, particles) arrays: one draw
+per step serves every run's stream, and the truth, the propagation, the
+reweighting, the sampling variances and the baseline gather are array ops
+over all runs. Each run keeps its own streams, so every value is the one a
+run stepped alone would give. The schemes are still called once per run,
+step and scheme through ``RESAMPLERS``, each with that run's stream and
+population: the registry is the extension point, and a replaced entry sees
+every call with one run's weights, as ``sir_step`` gives it.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import ValidationError, WeightVector
+from .partition import Allocation, ValidationError, WeightVector
 from .resampling import (
     RESAMPLERS,
     ParticleSet,
@@ -69,6 +78,9 @@ class BenchmarkConfig:
     def __post_init__(self):
         if self.num_particles < 1 or self.num_steps < 1 or self.num_mc_runs < 1:
             raise ValidationError("particles, steps and runs must be >= 1")
+        if isinstance(self.methods, str):
+            raise ValidationError(f"methods must be a sequence of method names, "
+                                  f"not a str ({self.methods!r})")
         if not self.methods:
             raise ValidationError("at least one resampling method is required")
         methods = tuple(self.methods)
@@ -117,20 +129,45 @@ def _log_likelihood(y_obs, x, t, params):
     return -0.5 * d * d - math.log(math.sqrt(2.0 * math.pi) * std)
 
 
-def _propagate_and_weigh(states, prior_weights, y_obs, t, rng, params):
-    """Propagate and reweight: (weighted ParticleSet, its weights, the estimate)."""
-    noise = gammas(rng, params.gamma_shape, params.gamma_scale, states.size)
+def _collapse(t, run=None) -> ParticleCollapseError:
+    where = "" if run is None else f"run {run}: "
+    return ParticleCollapseError(f"{where}all particle weights vanished at step {t}")
+
+
+def _propagate_and_weigh(states, prior_weights, y_obs, t, rngs, params):
+    """Propagate and reweight R populations, the rows of (R, M) arrays.
+
+    Row r draws its noise from rngs[r] and is weighed against y_obs[r].
+    Returns the read-only states, the weights, the read-only weights as
+    WeightVector would store them, the weighted-mean estimates, and the
+    number of leading rows kept: the rows before the first collapsed one.
+    """
+    noise = gammas(rngs, params.gamma_shape, params.gamma_scale, states.shape[1])
     states = state_transition(states, t, noise, params)
-    with np.errstate(divide="ignore"):
-        logw = np.log(prior_weights) + _log_likelihood(y_obs, states, t, params)
-    top = np.max(logw)
-    if not np.isfinite(top):
-        raise ParticleCollapseError(f"all particle weights vanished at step {t}")
+    with np.errstate(divide="ignore", over="ignore"):  # log(0) and d*d -> -inf
+        logw = np.log(prior_weights) + _log_likelihood(y_obs[:, None], states, t, params)
+    top = np.max(logw, axis=1, keepdims=True)
+    collapsed = np.flatnonzero(~np.isfinite(top[:, 0]))
+    live = int(collapsed[0]) if collapsed.size else len(states)
+    states, logw, top = states[:live], logw[:live], top[:live]
     # no log weight is nan or +inf once the largest is finite, so the shifted
     # weights hold a 1 and their total is finite and at least 1
     w = np.exp(logw - top)
-    w = w / w.sum()
-    return ParticleSet(states, WeightVector(w)), w, float(states @ w)
+    w = w / w.sum(axis=1, keepdims=True)
+    stored = w / w.sum(axis=1, keepdims=True)  # WeightVector's renormalisation
+    # stacked matmul is bit-equal to one BLAS dot per row
+    estimates = np.matmul(states[:, None, :], w[:, :, None])[:, 0, 0]
+    states.flags.writeable = stored.flags.writeable = False
+    return states, w, stored, estimates, live
+
+
+def _population(states, stored) -> ParticleSet:
+    return ParticleSet._trusted(states, WeightVector._trusted(stored))
+
+
+def _resample_rows(method, psets, n, rngs) -> np.ndarray:
+    """One RESAMPLERS call per population, with its own stream: (R, M) counts."""
+    return np.array([RESAMPLERS[method](p, n, g).sizes for p, g in zip(psets, rngs)])
 
 
 def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
@@ -143,72 +180,91 @@ def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
     if method not in RESAMPLERS:
         raise ValidationError(f"unknown resampling method {method!r}")
     n_out = len(p) if num_out is None else int(num_out)
-    pset, _, estimate = _propagate_and_weigh(p.states, p.weights.weights, y_obs, t,
-                                             rng, params)
+    states, _, stored, estimates, live = _propagate_and_weigh(
+        p.states[None], p.weights.weights[None], np.array([y_obs], dtype=float), t,
+        [rng], params)
+    if not live:
+        raise _collapse(t)
+    pset = _population(states[0], stored[0])
     counts = RESAMPLERS[method](pset, n_out, rng)
     sv = sampling_variance(counts, pset.weights)
     new_states = pset.states[counts_to_indices(counts)]
     new_set = ParticleSet(new_states, WeightVector(np.full(n_out, 1.0 / n_out)))
-    return new_set, estimate, sv
+    return new_set, float(estimates[0]), sv
 
 
-def simulate_truth(num_steps, rng: RngStream, params: ModelParams = ModelParams()):
-    """One ground-truth trajectory and its observations, steps 1..num_steps."""
-    xs = np.empty(num_steps)
-    ys = np.empty(num_steps)
-    x = 0.0
+def simulate_truth(num_steps, rng, params: ModelParams = ModelParams()):
+    """Ground-truth trajectories and their observations, steps 1..num_steps.
+
+    rng is one stream, for two arrays of num_steps values, or a sequence of R
+    streams, for two (R, num_steps) arrays whose row r comes from rng[r].
+    Each step draws its Gamma noise, then its observation noise.
+    """
+    rows = [rng] if isinstance(rng, RngStream) else rng
+    xs = np.empty((len(rows), num_steps))
+    ys = np.empty((len(rows), num_steps))
+    x = np.zeros(len(rows))
     for t in range(1, num_steps + 1):
-        u = float(gammas(rng, params.gamma_shape, params.gamma_scale, 1)[0])
-        x = float(state_transition(x, t, u, params))
-        v = float(normals(rng, 1)[0]) * params.obs_noise_std
-        xs[t - 1] = x
-        ys[t - 1] = float(measurement(x, t, v, params))
-    return xs, ys
+        u = gammas(rows, params.gamma_shape, params.gamma_scale, 1)[:, 0]
+        x = state_transition(x, t, u, params)
+        v = normals(rows, 1)[:, 0] * params.obs_noise_std
+        xs[:, t - 1] = x
+        ys[:, t - 1] = measurement(x, t, v, params)
+    return (xs[0], ys[0]) if isinstance(rng, RngStream) else (xs, ys)
 
 
 def run_benchmark(config: BenchmarkConfig,
                   params: ModelParams = ModelParams()) -> list[BenchmarkRecord]:
-    """Run the full comparison; one BenchmarkRecord per (run, step)."""
+    """Run the full comparison; one BenchmarkRecord per (run, step), in that order.
+
+    A collapse raises ParticleCollapseError naming the lowest run that
+    collapses and its first collapse step, as running the runs in turn would.
+    """
+    npart, steps, runs = config.num_particles, config.num_steps, config.num_mc_runs
     root = RngStream(config.seed)
-    records: list[BenchmarkRecord] = []
-    for run in range(config.num_mc_runs):
-        run_rng = root.spawn(run)
-        try:
-            records.extend(_run_single(run, run_rng, config, params))
-        except ParticleCollapseError as e:
-            raise ParticleCollapseError(f"run {run}: {e}") from e
-    return records
+    run_rngs = [root.spawn(run) for run in range(runs)]
+    filter_rngs = [g.spawn(1) for g in run_rngs]
+    baseline_rngs = [g.spawn(2) for g in run_rngs]
+    method_rngs = {m: [g.spawn(3 + i) for g in run_rngs] for i, m in enumerate(config.methods)}
 
-
-def _run_single(run, run_rng, config, params):
-    npart = config.num_particles
-    truth_rng = run_rng.spawn(0)
-    filter_rng = run_rng.spawn(1)
-    baseline_rng = run_rng.spawn(2)
-    method_rngs = {m: run_rng.spawn(3 + i) for i, m in enumerate(config.methods)}
-
-    xs, ys = simulate_truth(config.num_steps, truth_rng, params)
-    states = normals(filter_rng, npart)  # initial particles ~ N(0, 1)
-    weights = np.full(npart, 1.0 / npart)
-
-    out = []
-    for t in range(1, config.num_steps + 1):
-        pset, weights, estimate = _propagate_and_weigh(states, weights, ys[t - 1], t,
-                                                       filter_rng, params)
-        states = pset.states
-        sv = {m: sampling_variance(RESAMPLERS[m](pset, npart, rng), pset.weights)
-              for m, rng in method_rngs.items()}
+    xs, ys = simulate_truth(steps, [g.spawn(0) for g in run_rngs], params)
+    states = normals(filter_rngs, npart)  # initial particles ~ N(0, 1)
+    weights = np.full((runs, npart), 1.0 / npart)
+    estimates = np.empty((runs, steps))
+    svs = {m: np.empty((runs, steps)) for m in config.methods}
+    collapse = None
+    for t in range(1, steps + 1):
+        states, weights, stored, est, live = _propagate_and_weigh(
+            states, weights, ys[:len(filter_rngs), t - 1], t, filter_rngs, params)
+        if live < len(filter_rngs):
+            # the runs from the collapsed one on can no longer be the one reported
+            collapse = _collapse(t, live)
+            if not live:
+                break
+            filter_rngs, baseline_rngs = filter_rngs[:live], baseline_rngs[:live]
+            method_rngs = {m: rngs[:live] for m, rngs in method_rngs.items()}
+        estimates[:live, t - 1] = est
+        psets = [_population(s, w) for s, w in zip(states, stored)]
+        for m, rngs in method_rngs.items():
+            svs[m][:live, t - 1] = sampling_variance(
+                _resample_rows(m, psets, npart, rngs), stored)
 
         if config.resample_each_step:
-            base_counts = RESAMPLERS[config.baseline_method](pset, npart, baseline_rng)
-            states = states[counts_to_indices(base_counts)]
-            weights = np.full(npart, 1.0 / npart)
+            base = _resample_rows(config.baseline_method, psets, npart, baseline_rngs).ravel()
+            gather = counts_to_indices(Allocation._trusted(base, base.size))
+            states = states.ravel()[gather].reshape(live, npart)
+            weights = np.full((live, npart), 1.0 / npart)
+    if collapse is not None:
+        raise collapse
 
-        out.append(BenchmarkRecord(
-            run=run, t=t, x_true=float(xs[t - 1]), y_obs=float(ys[t - 1]),
-            estimate=estimate, sv=sv,
-        ))
-    return out
+    xs, ys, estimates = xs.tolist(), ys.tolist(), estimates.tolist()
+    svs = {m: v.tolist() for m, v in svs.items()}
+    return [
+        BenchmarkRecord(run=run, t=t, x_true=xs[run][t - 1], y_obs=ys[run][t - 1],
+                        estimate=estimates[run][t - 1],
+                        sv={m: svs[m][run][t - 1] for m in config.methods})
+        for run in range(runs) for t in range(1, steps + 1)
+    ]
 
 
 def aggregate_mean_sv(records) -> dict[tuple[int, str], float]:

@@ -61,6 +61,13 @@ class WeightVector:
         arr.flags.writeable = False
         object.__setattr__(self, "weights", arr)
 
+    @classmethod
+    def _trusted(cls, weights: np.ndarray) -> WeightVector:
+        """Wrap read-only weights the library normalised as __init__ would; no checks."""
+        wv = object.__new__(cls)
+        object.__setattr__(wv, "weights", weights)
+        return wv
+
     def __len__(self):
         return self.weights.size
 

@@ -66,6 +66,14 @@ class ParticleSet:
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "weights", wv)
 
+    @classmethod
+    def _trusted(cls, states: np.ndarray, weights: WeightVector) -> ParticleSet:
+        """Wrap read-only 1-d states and weights of matching length; no checks."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "states", states)
+        object.__setattr__(p, "weights", weights)
+        return p
+
     def __len__(self):
         return self.states.size
 
@@ -184,8 +192,19 @@ def residual_resample(p, n, rng: RngStream) -> ResampleCounts:
     return ResampleCounts(Allocation._trusted(counts, n))
 
 
-def sampling_variance(c, w) -> float:
-    """Sampling variance of resample counts: the MSE against n*w."""
+def sampling_variance(c, w):
+    """Sampling variance of resample counts: the MSE against n*w.
+
+    Given an (R, M) integer array of count rows and an (R, M) array of the
+    weight rows they were drawn from, returns the R row variances, with n the
+    row's sum. The rows are used as given: not validated, not renormalised.
+    """
+    if isinstance(c, np.ndarray) and c.ndim == 2:
+        if c.shape != np.shape(w):
+            raise ValidationError(f"shape mismatch: {c.shape} counts vs "
+                                  f"{np.shape(w)} weights")
+        d = c - c.sum(axis=1, keepdims=True) * w
+        return np.mean(d * d, axis=1)
     alloc = c.counts if isinstance(c, ResampleCounts) else c
     return mse(alloc, w)
 

@@ -6,6 +6,11 @@ bit-for-bit and golden test vectors are portable. Gaussian draws use
 Box-Muller; Gamma draws use a sum of exponentials for integer shapes and
 Marsaglia-Tsang acceptance sampling otherwise. Everything consumes uniforms
 from one explicit stream, so runs are reproducible from the seed alone.
+
+Because a variate depends only on its stream's seed and position, R streams
+that advance in lockstep draw as one (R, k) array: ``uniform_rows`` is the
+one SplitMix64 kernel, and ``normals`` and ``gammas`` take either one stream
+or a sequence of streams, one output row each.
 """
 
 from __future__ import annotations
@@ -14,11 +19,15 @@ import math
 
 import numpy as np
 
+from .partition import ValidationError
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0**-53
+_U_GOLDEN, _U_MIX1, _U_MIX2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+_U11, _U27, _U30, _U31 = (np.uint64(b) for b in (11, 27, 30, 31))
 
 
 def _mix(z: int) -> int:
@@ -52,15 +61,7 @@ class RngStream:
 
     def next_uniforms(self, k: int) -> np.ndarray:
         """k uniforms as a float64 array; identical to k scalar draws."""
-        if k < 0:
-            raise ValueError("k must be nonnegative")
-        idx = np.arange(self._count + 1, self._count + k + 1, dtype=np.uint64)
-        self._count += k
-        z = np.uint64(self.seed) + idx * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        return uniform_rows((self,), k)[0]
 
     def spawn(self, key: int) -> "RngStream":
         """Derive an independent child stream from this stream's seed."""
@@ -71,25 +72,72 @@ class RngStream:
         return f"RngStream(seed={self.seed}, draws={self._count})"
 
 
-def normals(rng: RngStream, size: int) -> np.ndarray:
-    """size standard-normal draws via Box-Muller (2*ceil(size/2) uniforms)."""
+def uniform_rows(rngs, k: int) -> np.ndarray:
+    """The next k uniforms of each stream in rngs, as a (len(rngs), k) array.
+
+    Row r is what ``rngs[r].next_uniforms(k)`` would return, and every
+    stream advances by k.
+    """
+    _check_size(k)
+    seeds = np.array([g.seed for g in rngs], dtype=np.uint64)
+    first = np.array([g._count + 1 for g in rngs], dtype=np.uint64)
+    for g in rngs:
+        g._count += k
+    z = first[:, None] + np.arange(k, dtype=np.uint64)
+    z *= _U_GOLDEN  # in place: wrapping uint64 arithmetic, one array
+    z += seeds[:, None]
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
+    z >>= _U11
+    return z.astype(np.float64) * _INV_2_53
+
+
+def _check_size(size):
+    if size < 0:
+        raise ValidationError(f"size must be nonnegative, got {size}")
+
+
+def _uniforms(rng, k: int) -> np.ndarray:
+    """k uniforms from one stream, or a (R, k) array from a sequence of R streams."""
+    return rng.next_uniforms(k) if isinstance(rng, RngStream) else uniform_rows(rng, k)
+
+
+def normals(rng, size: int) -> np.ndarray:
+    """size standard-normal draws via Box-Muller (2*ceil(size/2) uniforms).
+
+    rng is one stream, or a sequence of R streams for an (R, size) array
+    whose row r is ``normals(rng[r], size)``.
+    """
+    _check_size(size)
     pairs = (size + 1) // 2
-    u = rng.next_uniforms(2 * pairs)
-    u1, u2 = u[:pairs], u[pairs:]
+    u = _uniforms(rng, 2 * pairs)
+    u1, u2 = u[..., :pairs], u[..., pairs:]
     r = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0,1], log is safe
     theta = 2.0 * np.pi * u2
-    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:size]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :size]
 
 
-def gammas(rng: RngStream, shape: float, scale: float, size: int) -> np.ndarray:
-    """size Gamma(shape, scale) draws (scale parametrization, mean shape*scale)."""
+def gammas(rng, shape: float, scale: float, size: int) -> np.ndarray:
+    """size Gamma(shape, scale) draws (scale parametrization, mean shape*scale).
+
+    rng is one stream, or a sequence of R streams for an (R, size) array
+    whose row r is ``gammas(rng[r], shape, scale, size)``.
+    """
     if shape <= 0 or scale <= 0:
-        raise ValueError("shape and scale must be positive")
+        raise ValidationError("shape and scale must be positive")
+    _check_size(size)
     if float(shape).is_integer():
         # sum of `shape` exponentials, fully vectorized
         k = int(shape)
-        u = rng.next_uniforms(k * size).reshape(k, size)
-        return -scale * np.log1p(-u).sum(axis=0)
+        u = _uniforms(rng, k * size)
+        u = u.reshape(u.shape[:-1] + (k, size))
+        return -scale * np.log1p(-u).sum(axis=-2)
+    if not isinstance(rng, RngStream):
+        # Marsaglia-Tsang draws a varying number of uniforms: stream by stream
+        return np.array([gammas(g, shape, scale, size) for g in rng]).reshape(len(rng), size)
     return np.array([_gamma_one(rng, float(shape)) * scale for _ in range(size)])
 
 

@@ -181,6 +181,23 @@ class TestBenchmarkCommand:
             data = (tmp_path / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
 
+    @pytest.mark.parametrize("argv, golden", [
+        # the paper's defaults: 100 particles, 60 steps, 100 runs
+        ([],
+         ("b358a4fff0c5402e845a7df529c2181c656132a957219ba3ba6a55e9c566b666",
+          "39c4be8186acde6cd4a468872be08f50e8717ee1054409352e13920dacc840b3")),
+        # an odd M, and a baseline whose draws drive the shared population
+        (["--particles", "37", "--runs", "50", "--seed", "3", "--baseline", "multinomial"],
+         ("3355d4838e0321355ec6f07eed3e25a71fb30324b394909ed0029581a39e018c",
+          "4f32b4cb94dfb550b0cce54c11a6dc1f10640281750fbda78ab41480b2329642")),
+    ], ids=["defaults", "odd-m-multinomial-baseline"])
+    def test_golden_digest_full_runs(self, tmp_path, argv, golden):
+        out = tmp_path / "rec.csv"
+        assert main(["benchmark", "--output", str(out)] + argv) == EXIT_OK
+        for name, digest in zip(("rec.csv", "rec_agg.csv"), golden):
+            data = (tmp_path / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
     def test_repeated_method_exits_2(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         code, _, err = run(["benchmark", "--methods", "systematic,systematic", "--runs", "1",

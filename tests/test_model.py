@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -72,6 +73,11 @@ class TestParamValidation:
         with pytest.raises(ValidationError):
             BenchmarkConfig(methods=("nope",))
 
+    def test_bare_string_methods_rejected(self):
+        # a str is a sequence too, of one-letter "methods"
+        with pytest.raises(ValidationError, match="not a str"):
+            BenchmarkConfig(methods="msv")
+
     def test_repeated_method_rejected(self):
         # a repeat would take over the first entry's stream
         with pytest.raises(ValidationError, match="'rsr' is listed twice"):
@@ -127,6 +133,18 @@ class TestSimulateTruth:
         assert xs.shape == ys.shape == (25,)
         assert np.array_equal(xs, xs2) and np.array_equal(ys, ys2)
 
+    @pytest.mark.parametrize("shape", [3.0, 2.5])
+    def test_sequence_of_streams_gives_one_row_each(self, shape):
+        params = ModelParams(gamma_shape=shape)
+        streams = [RngStream(4).spawn(i) for i in range(3)]
+        xs, ys = simulate_truth(12, streams, params)
+        assert xs.shape == ys.shape == (3, 12)
+        for i, g in enumerate(streams):
+            alone = RngStream(g.seed)
+            x, y = simulate_truth(12, alone, params)
+            assert np.array_equal(xs[i], x) and np.array_equal(ys[i], y)
+            assert g.draws == alone.draws
+
 
 class TestRunBenchmark:
     def test_minimal_config_single_record(self):
@@ -163,3 +181,65 @@ class TestRunBenchmark:
         assert set(t for t, _ in agg) == {1, 2, 3, 4}
         manual = np.mean([r.sv["msv"] for r in records if r.t == 2])
         assert agg[(2, "msv")] == pytest.approx(manual)
+
+
+def record_digest(records):
+    h = hashlib.sha256()
+    for r in records:
+        h.update(repr((r.run, r.t, r.x_true, r.y_obs, r.estimate,
+                       tuple(r.sv.items()))).encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestBatchedRuns:
+    """Every run steps as it would alone: digests and messages from the run-by-run loop."""
+
+    @pytest.mark.parametrize("config, params, digest", [
+        # Marsaglia-Tsang consumption varies per run, so each run draws from its own stream
+        (dict(num_particles=30, num_steps=10, num_mc_runs=4, seed=5), dict(gamma_shape=2.5),
+         "e76d47e01e737a717497ae8c6d0db38b84a2a17b40613d8b7964633b02258a40"),
+        (dict(num_particles=30, num_steps=10, num_mc_runs=4, seed=5), dict(gamma_shape=0.7),
+         "540a3eeed764c05f623da979de3540f62461890126880d22a21568e5e8333b9b"),
+        (dict(num_particles=25, num_steps=12, num_mc_runs=5, seed=11,
+              resample_each_step=False), {},
+         "5874203427f1f2449d2b8468bd1a92b490fc02e4f1b850d563f9212a1e34fd24"),
+        (dict(num_particles=25, num_steps=12, num_mc_runs=5, seed=11,
+              resample_each_step=False, baseline_method="msv"), dict(gamma_shape=2.5),
+         "1767b0cb9ca9f2330f38cdd8cfc53307a0a8ede92863f34ef37d7cf578b99421"),
+    ], ids=["shape-2.5", "shape-0.7", "no-step-resampling", "no-step-resampling-shape-2.5"])
+    def test_records_match_run_by_run_digest(self, config, params, digest):
+        records = run_benchmark(BenchmarkConfig(**config), ModelParams(**params))
+        assert [(r.run, r.t) for r in records] == [
+            (run, t) for run in range(config["num_mc_runs"])
+            for t in range(1, config["num_steps"] + 1)]
+        assert record_digest(records) == digest
+
+    @pytest.mark.parametrize("std, seed, message", [
+        (1e-154, 2, "run 0: all particle weights vanished at step 4"),
+        # runs 3 and 6 collapse earlier than run 1
+        (1e-153, 1, "run 1: all particle weights vanished at step 17"),
+        (1e-153, 3, "run 2: all particle weights vanished at step 9"),
+        (3e-153, 1, "run 7: all particle weights vanished at step 16"),
+        (3e-153, 3, "run 3: all particle weights vanished at step 19"),
+    ])
+    def test_collapse_names_lowest_run_and_its_first_step(self, std, seed, message):
+        cfg = BenchmarkConfig(num_particles=10, num_steps=40, num_mc_runs=8, seed=seed,
+                              methods=("msv",))
+        with pytest.raises(ParticleCollapseError) as exc:
+            run_benchmark(cfg, ModelParams(obs_noise_std=std))
+        assert str(exc.value) == message
+
+    def test_registry_called_once_per_run_step_and_scheme(self, monkeypatch):
+        calls = []
+        for name, fn in RESAMPLERS.items():
+            def spy(p, n, rng, name=name, fn=fn):
+                calls.append((name, p.states.shape, p.weights.weights.shape, n, rng.seed))
+                return fn(p, n, rng)
+            monkeypatch.setitem(RESAMPLERS, name, spy)
+        cfg = BenchmarkConfig(num_particles=6, num_steps=3, num_mc_runs=4, seed=2,
+                              methods=("msv", "rsr"))
+        run_benchmark(cfg)
+        assert len(calls) == 4 * 3 * 3  # two methods plus the baseline
+        assert {c[1:4] for c in calls} == {((6,), (6,), 6)}
+        # one stream per run and scheme, used at every step
+        assert len({(c[0], c[4]) for c in calls}) == 4 * 3

@@ -212,6 +212,19 @@ class TestSamplingVariance:
         assert sampling_variance([2, 2, 1], [0.46, 0.34, 0.20]) == pytest.approx(0.06)
         assert sampling_variance([0, 2], [0.5, 0.5]) == pytest.approx(1.0)
 
+    def test_rows_match_one_row_each(self):
+        g = np.random.default_rng(8)
+        wvs = [WeightVector(g.dirichlet(np.full(37, 0.3))) for _ in range(50)]
+        rng = RngStream(4)
+        counts = np.array([multinomial_resample(w, 37, rng).sizes for w in wvs])
+        rows = sampling_variance(counts, np.array([w.weights for w in wvs]))
+        assert rows.shape == (50,)
+        assert rows.tolist() == [sampling_variance(c, w) for c, w in zip(counts, wvs)]
+
+    def test_rows_shape_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="shape mismatch"):
+            sampling_variance(np.ones((2, 3), dtype=np.int64), np.full((3, 3), 1 / 3))
+
 
 def test_counts_to_indices():
     counts = msv_resample(pset([0.46, 0.34, 0.20]), 5)

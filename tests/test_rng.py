@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from finset.rng import RngStream, gammas, normals
+from finset.partition import ValidationError
+from finset.rng import RngStream, gammas, normals, uniform_rows
 
 # Frozen from the pinned SplitMix64 stream; any generator change must be
 # deliberate since it invalidates every golden vector in the suite.
@@ -96,6 +97,51 @@ def test_zero_size_draws_nothing(draw):
     x = draw(rng)
     assert x.dtype == np.float64 and x.shape == (0,)
     assert rng.draws == 0
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: normals(rng, -3),
+    lambda rng: gammas(rng, 3, 2, -1),
+    lambda rng: gammas(rng, 2.5, 1, -1),
+    lambda rng: rng.next_uniforms(-1),
+], ids=["normals", "gammas integer shape", "gammas fractional shape", "next_uniforms"])
+def test_negative_size_rejected(draw):
+    rng = RngStream(1)
+    with pytest.raises(ValidationError, match="size must be nonnegative, got -"):
+        draw(rng)
+    assert rng.draws == 0
+
+
+def test_uniform_rows_are_the_streams_own_draws():
+    streams = [RngStream(5).spawn(i) for i in range(4)]
+    streams[1].next_uniforms(3)  # rows may start at different positions
+    streams[3].next_uniform()
+    alone = [RngStream(g.seed) for g in streams]
+    for a, g in zip(alone, streams):
+        a.next_uniforms(g.draws)
+    rows = uniform_rows(streams, 9)
+    assert rows.shape == (4, 9)
+    for row, a, g in zip(rows, alone, streams):
+        assert np.array_equal(row, a.next_uniforms(9))
+        assert g.draws == a.draws
+    assert uniform_rows(streams, 0).shape == (4, 0)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng, size: normals(rng, size),
+    lambda rng, size: gammas(rng, 3, 2, size),
+    lambda rng, size: gammas(rng, 2.5, 1, size),
+    lambda rng, size: gammas(rng, 0.7, 2, size),
+], ids=["normals", "gammas integer shape", "gammas fractional shape", "gammas shape < 1"])
+@pytest.mark.parametrize("size", [0, 1, 2, 7])
+def test_sequence_of_streams_draws_one_row_each(draw, size):
+    streams = [RngStream(11).spawn(i) for i in range(3)]
+    alone = [RngStream(g.seed) for g in streams]
+    rows = draw(streams, size)
+    assert rows.shape == (3, size) and rows.dtype == np.float64
+    for row, a, g in zip(rows, alone, streams):
+        assert np.array_equal(row, draw(a, size))  # bit for bit
+        assert g.draws == a.draws
 
 
 def test_gamma_integer_shape_moments():
