@@ -25,6 +25,7 @@ every call with one run's weights, as ``sir_step`` gives it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +58,15 @@ class ModelParams:
     obs_noise_std: float = 1.0
 
     def __post_init__(self):
-        if self.gamma_shape <= 0 or self.gamma_scale <= 0:
-            raise ValidationError("gamma shape and scale must be positive")
-        if self.obs_noise_std <= 0:
-            raise ValidationError("obs_noise_std must be positive")
+        # a nan or infinite parameter would surface as a particle collapse
+        for name in ("omega", "phi1", "phi2", "phi3"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
+        for name in ("gamma_shape", "gamma_scale", "obs_noise_std"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
         if self.switch_time < 1:
             raise ValidationError("switch_time must be >= 1")
 
@@ -76,8 +82,15 @@ class BenchmarkConfig:
     resample_each_step: bool = True
 
     def __post_init__(self):
-        if self.num_particles < 1 or self.num_steps < 1 or self.num_mc_runs < 1:
-            raise ValidationError("particles, steps and runs must be >= 1")
+        for name in ("num_particles", "num_steps", "num_mc_runs"):
+            value = getattr(self, name)
+            try:
+                whole = operator.index(value)
+            except TypeError:
+                whole = None
+            if whole is None or whole < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, whole)
         if isinstance(self.methods, str):
             raise ValidationError(f"methods must be a sequence of method names, "
                                   f"not a str ({self.methods!r})")

@@ -17,9 +17,12 @@ copies, returned as per-particle copy counts:
   (1 uniform).
 
 Every CDF is nondecreasing within [0, 1] and ends at exactly 1. The two
-draw-based schemes sort their uniforms and count the draws below each CDF
-value; systematic and rsr share one closed-form kernel, cumulative counts
-ceil(n*cdf - u), which gives M counts summing to n for every offset.
+draw-based schemes count the draws below each CDF value, never searching
+per draw: small calls sort the draws and search them once per CDF value;
+large, balanced ones (``_merged_readout``) sort exact integer keys of both
+at once. The two readouts give the same counts. Systematic and rsr share
+one closed-form kernel, cumulative counts ceil(n*cdf - u), which gives M
+counts summing to n for every offset.
 
 Sampling variance is the mean squared discrepancy between counts and their
 real-valued expectations n*w, identical to the partition MSE metric.
@@ -125,15 +128,47 @@ def _add_counts(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _add_draw_counts(counts: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Add the inverse-CDF counts of the uniforms u, which are sorted in place.
+def _merged_readout(m: int, k: int) -> bool:
+    """Whether k draws into an m-entry CDF are counted by one merged key sort.
+
+    Measured with NumPy 2.4's AVX-512 sorts on one thread, the merged readout
+    takes 0.6-0.97 of the search readout's time inside this rule. It breaks
+    even near k = 8m and, at m = 1e6, near k = m/128, and is up to 1.5x
+    slower below a thousand draws. Every other call, such as the benchmark's
+    M = 100, sorts and searches; that path goes once row-batched scheme
+    kernels put every call inside the rule.
+    """
+    return 4096 <= k <= 4 * m and 4096 <= m <= 16 * k
+
+
+def _draw_cum(cdf: np.ndarray, rng: RngStream, k: int) -> np.ndarray:
+    """Cumulative inverse-CDF counts of k uniforms from rng; cdf may be overwritten.
 
     A draw lands in the first bin whose CDF value exceeds it, so the draws
     landing in bins 0..m number those strictly below cdf[m]. Counts do not
-    depend on draw order, so one sort replaces a random-access search per draw.
+    depend on draw order, so sorting replaces a random-access search per draw.
     """
-    u.sort()
-    return _add_counts(counts, np.searchsorted(u, cdf, side="left"))
+    m = cdf.size
+    u = rng.next_uniforms(k)
+    if not _merged_readout(m, k):
+        u.sort()
+        return np.searchsorted(u, cdf, side="left")
+    # An RngStream uniform is j*2**-53 exactly, so u < c iff j < ceil(c*2**53).
+    # The CDF values become the even keys 2*ceil(c*2**53) and the draws the
+    # odd keys 2*j + 1, which never tie; after one sort, the draws below
+    # cdf[m] are the odd keys before the m-th even key: its position minus m.
+    keys = np.empty(m + k, dtype=np.uint64)
+    np.ceil(np.multiply(cdf, 2.0**53, out=cdf), out=cdf)
+    np.multiply(cdf, 2.0, out=keys[:m], casting="unsafe")
+    np.multiply(u, 2.0**54, out=keys[m:], casting="unsafe")
+    del u  # released before the sort and the readout
+    keys[m:] |= np.uint64(1)
+    keys.sort()
+    keys &= np.uint64(1)
+    cum = np.flatnonzero(keys == 0)
+    del keys
+    cum -= np.arange(m)
+    return cum
 
 
 def multinomial_resample(p, n, rng: RngStream) -> ResampleCounts:
@@ -141,10 +176,11 @@ def multinomial_resample(p, n, rng: RngStream) -> ResampleCounts:
     wv = _weights_of(p)
     n = _check_n(n)
     cdf = _cdf(np.cumsum(wv.weights))
-    u = rng.next_uniforms(n)
-    # counts are allocated after drawing, so they never coexist with the
-    # stream's temporaries and the peak memory stays that of the draw
-    counts = _add_draw_counts(np.zeros(len(wv), dtype=np.int64), cdf, u)
+    del wv  # a copy made from raw weights is not needed past its running sums
+    cum = _draw_cum(cdf, rng, n)
+    # counts are allocated after the readout, so they never coexist with the
+    # draws, their keys or the stream's temporaries
+    counts = _add_counts(np.zeros(cdf.size, dtype=np.int64), cum)
     return ResampleCounts(Allocation._trusted(counts, n))
 
 
@@ -158,15 +194,22 @@ def systematic_resample(p, n, rng: RngStream) -> ResampleCounts:
 def _systematic_counts(wv: WeightVector, n: int, u: float) -> ResampleCounts:
     # Grid point (u + i)/n lies below cdf[m] for i < n*cdf[m] - u, so the
     # cumulative counts are ceil(n*cdf - u), within [0, n] for cdf in [0, 1]
-    # and u in [0, 1).
-    cdf = _cdf(np.cumsum(wv.weights))
-    cum = np.ceil(n * cdf - u).astype(np.int64)
-    if math.ceil(n - u) < n:
-        # u is within an ulp of 1 and n - u rounds down to n - 1; where cdf
-        # is 1 the count is n, which keeps the total exact and gives
-        # trailing zero-weight particles no copy
-        cum[cdf == 1.0] = n
-    return ResampleCounts(Allocation._trusted(_add_counts(np.zeros_like(cum), cum), n))
+    # and u in [0, 1). One buffer holds the CDF and then the cumulative
+    # counts, whole floats whose differences are exact.
+    cum = _cdf(np.cumsum(wv.weights))
+    # When u is within an ulp of 1, n - u rounds down to n - 1; where cdf is
+    # 1 the count is then n, which keeps the total exact and gives trailing
+    # zero-weight particles no copy
+    top = cum == 1.0 if math.ceil(n - u) < n else None
+    cum *= n
+    cum -= u
+    np.ceil(cum, out=cum)
+    if top is not None:
+        cum[top] = n
+    counts = np.empty(cum.size, dtype=np.int64)
+    counts[0] = cum[0]
+    np.subtract(cum[1:], cum[:-1], out=counts[1:], casting="unsafe")
+    return ResampleCounts(Allocation._trusted(counts, n))
 
 
 # The RSR carry recursion counts[m] = Floor((w[m] - u_m)*n) + 1, with
@@ -181,14 +224,16 @@ def residual_resample(p, n, rng: RngStream) -> ResampleCounts:
     wv = _weights_of(p)
     n = _check_n(n)
     counts, res = _floors_and_residuals(wv.weights, n)
+    del wv  # as in multinomial_resample
     remaining = _surplus(n, counts)
     if remaining > 0:
         # n*w that rounds up onto an integer leaves a residual an ulp below 0;
         # as mass it is 0, and the running sums must not fall. Divided by the
         # last of them they are a CDF: nondecreasing, within [0, 1], ending at 1.
         cum = np.cumsum(np.maximum(res, 0.0, out=res))
+        del res  # freed before the draws: only the running sums are needed
         cdf = np.divide(cum, cum[-1], out=cum)
-        _add_draw_counts(counts, cdf, rng.next_uniforms(remaining))
+        _add_counts(counts, _draw_cum(cdf, rng, remaining))
     return ResampleCounts(Allocation._trusted(counts, n))
 
 

@@ -16,6 +16,7 @@ or a sequence of streams, one output row each.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -78,7 +79,7 @@ def uniform_rows(rngs, k: int) -> np.ndarray:
     Row r is what ``rngs[r].next_uniforms(k)`` would return, and every
     stream advances by k.
     """
-    _check_size(k)
+    k = _check_size(k)
     seeds = np.array([g.seed for g in rngs], dtype=np.uint64)
     first = np.array([g._count + 1 for g in rngs], dtype=np.uint64)
     for g in rngs:
@@ -95,9 +96,15 @@ def uniform_rows(rngs, k: int) -> np.ndarray:
     return z.astype(np.float64) * _INV_2_53
 
 
-def _check_size(size):
+def _check_size(size) -> int:
+    """size as an int; a size that is not an integer would desync the stream."""
+    try:
+        size = operator.index(size)
+    except TypeError:
+        raise ValidationError(f"size must be an integer, got {size!r}") from None
     if size < 0:
         raise ValidationError(f"size must be nonnegative, got {size}")
+    return size
 
 
 def _uniforms(rng, k: int) -> np.ndarray:
@@ -111,7 +118,7 @@ def normals(rng, size: int) -> np.ndarray:
     rng is one stream, or a sequence of R streams for an (R, size) array
     whose row r is ``normals(rng[r], size)``.
     """
-    _check_size(size)
+    size = _check_size(size)
     pairs = (size + 1) // 2
     u = _uniforms(rng, 2 * pairs)
     u1, u2 = u[..., :pairs], u[..., pairs:]
@@ -126,9 +133,10 @@ def gammas(rng, shape: float, scale: float, size: int) -> np.ndarray:
     rng is one stream, or a sequence of R streams for an (R, size) array
     whose row r is ``gammas(rng[r], shape, scale, size)``.
     """
-    if shape <= 0 or scale <= 0:
-        raise ValidationError("shape and scale must be positive")
-    _check_size(size)
+    if not (0 < shape < math.inf and 0 < scale < math.inf):
+        raise ValidationError(f"shape and scale must be finite and positive, "
+                              f"got {shape!r} and {scale!r}")
+    size = _check_size(size)
     if float(shape).is_integer():
         # sum of `shape` exponentials, fully vectorized
         k = int(shape)

@@ -73,6 +73,25 @@ class TestParamValidation:
         with pytest.raises(ValidationError):
             BenchmarkConfig(methods=("nope",))
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma_shape", math.nan), ("obs_noise_std", math.nan), ("gamma_scale", math.inf),
+        ("gamma_shape", -math.inf), ("omega", math.nan), ("phi1", math.inf),
+    ])
+    def test_non_finite_params_rejected(self, field, value):
+        # these used to surface as a particle collapse at step 1
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            ModelParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["num_particles", "num_steps", "num_mc_runs"])
+    def test_non_integer_sizes_rejected(self, field):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer >= 1, got 2.5"):
+            BenchmarkConfig(**{field: 2.5})
+
+    def test_numpy_integer_sizes_stored_as_int(self):
+        config = BenchmarkConfig(num_particles=np.int64(7), num_steps=np.int32(3))
+        assert type(config.num_particles) is int and config.num_particles == 7
+        assert type(config.num_steps) is int and config.num_steps == 3
+
     def test_bare_string_methods_rejected(self):
         # a str is a sequence too, of one-letter "methods"
         with pytest.raises(ValidationError, match="not a str"):

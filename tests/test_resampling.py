@@ -20,9 +20,13 @@ from finset.resampling import (
     rsr_resample,
     sampling_variance,
     systematic_resample,
+    _cdf,
+    _draw_cum,
+    _merged_readout,
     _rsr_counts,
     _systematic_counts,
 )
+from finset import resampling
 from finset.rng import RngStream
 
 
@@ -379,3 +383,115 @@ def test_kernels_match_reference():
             want = REFERENCE[name](w.weights, n, ref_rng)
             assert np.array_equal(got, want), (name, trial)
             assert rng.draws == ref_rng.draws, (name, trial)
+
+
+def test_kernels_match_reference_at_large_m():
+    # M = n = 2e5: multinomial's and residual's draws take the merged readout
+    g = np.random.default_rng(26)
+    m = 200_000
+    for sigma in (0.1, 3.0):
+        raw = g.lognormal(0.0, sigma, m)
+        w = WeightVector(raw / raw.sum())
+        for name, fn in RESAMPLERS.items():
+            rng, ref_rng = RngStream(7), RngStream(7)
+            got = fn(w, m, rng).sizes
+            want = REFERENCE[name](w.weights, m, ref_rng)
+            assert np.array_equal(got, want), (name, sigma)
+            assert rng.draws == ref_rng.draws, (name, sigma)
+        assert _merged_readout(m, m)
+        assert _merged_readout(m, m - int(np.floor(m * w.weights).sum()))
+
+
+class FixedStream:
+    """Hands out given uniforms, which must lie on RngStream's 2**-53 grid."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def next_uniforms(self, k):
+        assert k == self.u.size
+        return self.u.copy()
+
+
+def search_cum(cdf, u):
+    """The search readout: sorted draws, one searchsorted of the CDF."""
+    return np.searchsorted(np.sort(u), cdf, side="left")
+
+
+def readouts(cdf, u, monkeypatch):
+    """_draw_cum's result down each path, for the same CDF and draws."""
+    out = {}
+    for merged in (False, True):
+        monkeypatch.setattr(resampling, "_merged_readout", lambda m, k, v=merged: v)
+        out[merged] = _draw_cum(cdf.copy(), FixedStream(u), u.size)
+    return out[False], out[True]
+
+
+def fuzz_cdfs(g, m):
+    """CDFs of several kinds, as multinomial_resample builds them."""
+    zeros = np.zeros(m // 5)
+    kinds = {
+        "lognormal": g.lognormal(0.0, 2.0, m),
+        # few distinct values: runs of equal CDF entries on a coarse grid
+        "quantised": g.integers(0, 3, m).astype(float) + (np.arange(m) == m // 2),
+        "leading and trailing zeros": np.concatenate([zeros, g.random(m), zeros]),
+    }
+    for kind, raw in kinds.items():
+        yield kind, _cdf(np.cumsum(raw / raw.sum()))
+    # entries one and two ulps short of 1 before the final 1, where the
+    # largest uniform 1 - 2**-53 must pass the first and land in the last bin
+    short = np.sort(g.random(m))
+    short[-3:] = [1 - 2**-52, 1 - 2**-53, 1.0]
+    yield "ulps short of one", short
+    # an ulp above coarse grid values below 1/2: between two uniforms, where
+    # the draw at the grid value is below the CDF value and must count
+    above = np.nextafter(np.sort(g.integers(0, 8, m)) / 16.0, 1.0)
+    above[-1] = 1.0
+    yield "an ulp above the draw grid", above
+
+
+@pytest.mark.parametrize("m, k", [
+    (3, 5), (100, 100), (4095, 4096), (5000, 100), (4096, 4096), (5000, 20_000),
+    (20_000, 80_000), (20_000, 160_000), (65_536, 4096), (300_000, 4096), (300_000, 1000),
+])
+def test_readouts_agree_across_the_rule(m, k, monkeypatch):
+    g = np.random.default_rng(m + k)
+    for kind, cdf in fuzz_cdfs(g, m):
+        assert cdf[-1] <= 1.0 and np.all(np.diff(cdf) >= 0), kind
+        # draws from the stream, and draws on a coarse grid that tie with CDF
+        # values, including 0 and the largest uniform 1 - 2**-53
+        coarse = g.integers(0, 17, k) / 16.0
+        coarse[coarse == 1.0] = 1 - 2**-53
+        for u in (RngStream(k).next_uniforms(k), coarse):
+            search, merged = readouts(cdf, u, monkeypatch)
+            want = search_cum(cdf, u)
+            assert np.array_equal(search, want), kind
+            assert np.array_equal(merged, want), kind
+            assert merged.dtype == np.int64
+
+
+def test_rule_covers_only_measured_sizes():
+    assert not _merged_readout(100, 100)
+    assert not _merged_readout(4095, 10**6)
+    assert not _merged_readout(10**6, 4095)
+    assert not _merged_readout(10_000, 40_001)
+    assert not _merged_readout(16 * 5000 + 1, 5000)
+    assert _merged_readout(4096, 4096)
+    assert _merged_readout(10_000, 40_000)
+    assert _merged_readout(16 * 5000, 5000)
+    assert _merged_readout(10**6, 10**6)
+
+
+def test_largest_uniform_skips_trailing_zero_weight_on_merged_readout():
+    # as TestMultinomial's stub, at a size that takes the merged readout
+    class TopStream:
+        def next_uniforms(self, k):
+            return np.full(k, 1 - 2**-53)
+
+    w = WeightVector([1 / 5000] * 5000 + [0.0])
+    assert _merged_readout(len(w), 5000)
+    counts = multinomial_resample(w, 5000, TopStream()).sizes
+    cdf = _cdf(np.cumsum(w.weights))
+    want = np.diff(search_cum(cdf, np.full(5000, 1 - 2**-53)), prepend=0)
+    assert np.array_equal(counts, want)
+    assert counts.sum() == 5000 and counts[-1] == 0

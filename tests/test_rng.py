@@ -112,6 +112,45 @@ def test_negative_size_rejected(draw):
     assert rng.draws == 0
 
 
+@pytest.mark.parametrize("draw", [
+    lambda rng: normals(rng, 2.5),
+    lambda rng: gammas(rng, 3, 1, 2.5),
+    lambda rng: gammas(rng, 2.5, 1, 2.5),
+    lambda rng: rng.next_uniforms(2.5),
+    lambda rng: uniform_rows([rng], 2.5),
+    lambda rng: rng.next_uniforms(np.float64(3.0)),
+], ids=["normals", "gammas integer shape", "gammas fractional shape", "next_uniforms",
+        "uniform_rows", "next_uniforms float64"])
+def test_non_integer_size_rejected(draw):
+    rng = RngStream(0)
+    with pytest.raises(ValidationError, match="size must be an integer, got "):
+        draw(rng)
+    assert rng.draws == 0
+
+
+def test_non_integer_size_issues_no_draw_twice():
+    # a size of 2.5 used to hand out 3 draws but advance the count by 2.5,
+    # so the next call repeated the third draw
+    rng = RngStream(0)
+    with pytest.raises(ValidationError):
+        rng.next_uniforms(2.5)
+    drawn = np.concatenate([rng.next_uniforms(3), rng.next_uniforms(np.int64(2))])
+    assert rng.draws == 5 and type(rng.draws) is int
+    ref = RngStream(0)
+    assert drawn.tolist() == [ref.next_uniform() for _ in range(5)]
+    assert len(set(drawn.tolist())) == 5
+
+
+@pytest.mark.parametrize("shape, scale", [
+    (float("nan"), 1.0), (3.0, float("nan")), (float("inf"), 1.0), (3.0, float("inf")),
+])
+def test_non_finite_gamma_parameters_rejected(shape, scale):
+    rng = RngStream(0)
+    with pytest.raises(ValidationError, match="finite and positive"):
+        gammas(rng, shape, scale, 2)
+    assert rng.draws == 0
+
+
 def test_uniform_rows_are_the_streams_own_draws():
     streams = [RngStream(5).spawn(i) for i in range(4)]
     streams[1].next_uniforms(3)  # rows may start at different positions
