@@ -25,7 +25,6 @@ every call with one run's weights, as ``sir_step`` gives it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ from .resampling import (
     counts_to_indices,
     sampling_variance,
 )
-from .rng import RngStream, gammas, normals
+from .rng import RngStream, _integer, gammas, normals
 
 METHODS = tuple(RESAMPLERS)
 
@@ -67,8 +66,8 @@ class ModelParams:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValidationError(f"{name} must be finite and positive, got {value!r}")
-        if self.switch_time < 1:
-            raise ValidationError("switch_time must be >= 1")
+        # nan would pass a comparison with 1 and give the linear regime throughout
+        object.__setattr__(self, "switch_time", _integer("switch_time", self.switch_time, 1))
 
 
 @dataclass(frozen=True)
@@ -83,14 +82,9 @@ class BenchmarkConfig:
 
     def __post_init__(self):
         for name in ("num_particles", "num_steps", "num_mc_runs"):
-            value = getattr(self, name)
-            try:
-                whole = operator.index(value)
-            except TypeError:
-                whole = None
-            if whole is None or whole < 1:
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-            object.__setattr__(self, name, whole)
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
+        # a float seed would be truncated, so two configs would give one run
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if isinstance(self.methods, str):
             raise ValidationError(f"methods must be a sequence of method names, "
                                   f"not a str ({self.methods!r})")

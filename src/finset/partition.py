@@ -34,9 +34,9 @@ class ValidationError(ValueError):
 class WeightVector:
     """M nonnegative proportions summing to one.
 
-    Entries must be >= 0 and sum to 1 within ``WEIGHT_SUM_TOL``; the stored
-    vector is renormalized by its sum so filters feeding in near-normalized
-    weights get consistent treatment.
+    Entries must be finite, >= 0 and sum to 1 within ``WEIGHT_SUM_TOL``; the
+    stored vector is renormalized by its sum so filters feeding in
+    near-normalized weights get consistent treatment.
     """
 
     weights: np.ndarray
@@ -45,14 +45,19 @@ class WeightVector:
         arr = np.atleast_1d(np.asarray(weights, dtype=float))
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("weights must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise ValidationError(f"non-finite weight {arr[bad]} at index {bad}")
-        neg = np.flatnonzero(arr < 0)
-        if neg.size:
-            i = int(neg[0])
-            raise ValidationError(f"negative weight {arr[i]} at index {i}")
-        total = float(arr.sum())
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            total = float(np.add.reduce(arr))  # what arr.sum() computes
+        # Two reductions check every entry: a nan or -inf fails the minimum,
+        # and a +inf makes the total non-finite. Only a failure scans for the
+        # first bad entry.
+        if not (np.minimum.reduce(arr) >= 0 and math.isfinite(total)):
+            if not np.all(np.isfinite(arr)):
+                bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+                raise ValidationError(f"non-finite weight {arr[bad]} at index {bad}")
+            neg = np.flatnonzero(arr < 0)
+            if neg.size:
+                i = int(neg[0])
+                raise ValidationError(f"negative weight {arr[i]} at index {i}")
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError(
                 f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}"
@@ -215,16 +220,17 @@ def _discrepancy(a, w) -> np.ndarray:
     return a.sizes - a.total * wv.weights
 
 
+# np.mean is the same add.reduce divided by the count, without its dispatch.
 def mse(a, w) -> float:
     """Mean squared discrepancy (1/M) * sum (size[m] - N*w[m])^2."""
     d = _discrepancy(a, w)
-    return float(np.mean(d * d))
+    return float(np.add.reduce(d * d) / d.size)
 
 
 def mae(a, w) -> float:
     """Mean absolute discrepancy (1/M) * sum |size[m] - N*w[m]|."""
     d = _discrepancy(a, w)
-    return float(np.mean(np.abs(d)))
+    return float(np.add.reduce(np.abs(d)) / d.size)
 
 
 def check_theory1_bound(a, w) -> bool:

@@ -115,9 +115,10 @@ def _cdf(running: np.ndarray) -> np.ndarray:
     the last entry, or end a few ulps short of 1. Every entry at or above the
     smaller of 1 and the last one is set to 1: the CDF is then nondecreasing
     within [0, 1], which both count kernels rely on, and ends at 1 without
-    handing a shortfall to trailing zero-mass bins.
+    handing a shortfall to trailing zero-mass bins. Adding a nonnegative float
+    never lowers a float sum, so those entries are a suffix, found by one search.
     """
-    running[running >= min(running[-1], 1.0)] = 1.0
+    running[running.searchsorted(min(running[-1], 1.0)):] = 1.0
     return running
 
 
@@ -175,7 +176,7 @@ def multinomial_resample(p, n, rng: RngStream) -> ResampleCounts:
     """n independent draws from the weight distribution via inverse CDF."""
     wv = _weights_of(p)
     n = _check_n(n)
-    cdf = _cdf(np.cumsum(wv.weights))
+    cdf = _cdf(wv.weights.cumsum())
     del wv  # a copy made from raw weights is not needed past its running sums
     cum = _draw_cum(cdf, rng, n)
     # counts are allocated after the readout, so they never coexist with the
@@ -196,7 +197,7 @@ def _systematic_counts(wv: WeightVector, n: int, u: float) -> ResampleCounts:
     # cumulative counts are ceil(n*cdf - u), within [0, n] for cdf in [0, 1]
     # and u in [0, 1). One buffer holds the CDF and then the cumulative
     # counts, whole floats whose differences are exact.
-    cum = _cdf(np.cumsum(wv.weights))
+    cum = _cdf(wv.weights.cumsum())
     # When u is within an ulp of 1, n - u rounds down to n - 1; where cdf is
     # 1 the count is then n, which keeps the total exact and gives trailing
     # zero-weight particles no copy

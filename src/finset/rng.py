@@ -10,7 +10,10 @@ from one explicit stream, so runs are reproducible from the seed alone.
 Because a variate depends only on its stream's seed and position, R streams
 that advance in lockstep draw as one (R, k) array: ``uniform_rows`` is the
 one SplitMix64 kernel, and ``normals`` and ``gammas`` take either one stream
-or a sequence of streams, one output row each.
+or a sequence of streams, one output row each. The kernel mixes at most 2**15
+values at a time, in blocks of whole rows or of one row's columns, so its
+passes over the values stay in a core's L2 cache; a draw that fits one block,
+such as every draw of the default SIR benchmark, runs no loop.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0**-53
 _U_GOLDEN, _U_MIX1, _U_MIX2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
 _U11, _U27, _U30, _U31 = (np.uint64(b) for b in (11, 27, 30, 31))
+_BLOCK = 1 << 15  # uniform_rows' values per block: 256 KiB, plus as much output
 
 
 def _mix(z: int) -> int:
@@ -48,7 +52,8 @@ class RngStream:
     __slots__ = ("seed", "_count")
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK
+        # a float seed would be truncated, so two seeds would give one stream
+        self.seed = _integer("seed", seed) & _MASK
         self._count = 0
 
     @property
@@ -66,7 +71,8 @@ class RngStream:
 
     def spawn(self, key: int) -> "RngStream":
         """Derive an independent child stream from this stream's seed."""
-        child = _mix((self.seed ^ _mix((int(key) + 1) * _GOLDEN & _MASK)) & _MASK)
+        key = _integer("key", key)  # as for seed, a float key would be truncated
+        child = _mix((self.seed ^ _mix((key + 1) * _GOLDEN & _MASK)) & _MASK)
         return RngStream(child)
 
     def __repr__(self):
@@ -80,28 +86,61 @@ def uniform_rows(rngs, k: int) -> np.ndarray:
     stream advances by k.
     """
     k = _check_size(k)
-    seeds = np.array([g.seed for g in rngs], dtype=np.uint64)
-    first = np.array([g._count + 1 for g in rngs], dtype=np.uint64)
+    # draw j (from 0) of stream g is the mix of start + j*golden, mod 2**64
+    start = np.array([(g.seed + (g._count + 1) * _GOLDEN) & _MASK for g in rngs],
+                     dtype=np.uint64)[:, None]
     for g in rngs:
         g._count += k
-    z = first[:, None] + np.arange(k, dtype=np.uint64)
-    z *= _U_GOLDEN  # in place: wrapping uint64 arithmetic, one array
-    z += seeds[:, None]
-    z ^= z >> _U30
-    z *= _U_MIX1
-    z ^= z >> _U27
-    z *= _U_MIX2
-    z ^= z >> _U31
+    steps = np.arange(k, dtype=np.uint64)
+    steps *= _U_GOLDEN  # in place: wrapping uint64 arithmetic
+    out = np.empty((len(rngs), k))
+    if out.size <= _BLOCK:  # measured: a one-block loop costs about 3 us more
+        _mix_into(np.add(start, steps), out)
+        return out
+    # whole rows per block while they fit, else one row in column chunks
+    rows, cols = max(1, _BLOCK // k), min(k, _BLOCK)
+    z = np.empty(rows * cols, dtype=np.uint64)
+    for r in range(0, len(rngs), rows):
+        for c in range(0, k, cols):
+            block = out[r:r + rows, c:c + cols]
+            zb = z[:block.size].reshape(block.shape)
+            np.add(start[r:r + rows], steps[c:c + cols], out=zb)
+            _mix_into(zb, block)
+    return out
+
+
+def _mix_into(z: np.ndarray, out: np.ndarray) -> None:
+    """Write SplitMix64's output mix of z, as uniforms, to the float64 out.
+
+    z is mixed in place; out doubles as the scratch for the shifts, since its
+    uniforms are written last.
+    """
+    tmp = out.view(np.uint64)
+    for shift, mult in ((_U30, _U_MIX1), (_U27, _U_MIX2)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mult
+    np.right_shift(z, _U31, out=tmp)
+    z ^= tmp
     z >>= _U11
-    return z.astype(np.float64) * _INV_2_53
+    np.multiply(z, _INV_2_53, out=out)
+
+
+def _integer(name: str, value, low=None) -> int:
+    """value as an int, which must be at least low if given; a float is refused."""
+    try:
+        whole = operator.index(value)
+    except TypeError:
+        whole = None
+    if whole is None or (low is not None and whole < low):
+        at_least = "" if low is None else f" >= {low}"
+        raise ValidationError(f"{name} must be an integer{at_least}, got {value!r}")
+    return whole
 
 
 def _check_size(size) -> int:
     """size as an int; a size that is not an integer would desync the stream."""
-    try:
-        size = operator.index(size)
-    except TypeError:
-        raise ValidationError(f"size must be an integer, got {size!r}") from None
+    size = _integer("size", size)
     if size < 0:
         raise ValidationError(f"size must be nonnegative, got {size}")
     return size

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import pytest
 
@@ -39,6 +40,15 @@ class TestPartitionCommand:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert err.count("\n") == 1 and "2**53" in err
+
+    def test_overflowing_sum_exits_2_with_one_line(self, capsys):
+        # the sum overflows to inf; NumPy's RuntimeWarning used to come first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["partition", "--weights", "1e308,1e308", "--n", "3"], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.count("\n") == 1 and "weights sum to inf" in err
 
     def test_invalid_sum_exits_2(self, capsys):
         code, _, err = run(["partition", "--weights", "0.5,0.6", "--n", "4"], capsys)

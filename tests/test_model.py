@@ -92,6 +92,30 @@ class TestParamValidation:
         assert type(config.num_particles) is int and config.num_particles == 7
         assert type(config.num_steps) is int and config.num_steps == 3
 
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 0, -3, "30"])
+    def test_switch_time_must_be_an_integer_at_least_1(self, value):
+        # nan used to pass and give the linear regime at every step
+        with pytest.raises(ValidationError,
+                           match=f"switch_time must be an integer >= 1, got {value!r}"):
+            ModelParams(switch_time=value)
+
+    def test_numpy_integer_switch_time_stored_as_int(self):
+        params = ModelParams(switch_time=np.int64(30))
+        assert type(params.switch_time) is int and params == DEFAULTS
+
+    @pytest.mark.parametrize("seed", [2.5, 3.0, math.nan, None])
+    def test_non_integer_seed_rejected(self, seed):
+        # 2.5 used to be truncated to 2 by RngStream, giving seed 2's records
+        with pytest.raises(ValidationError, match=f"seed must be an integer, got {seed!r}"):
+            BenchmarkConfig(seed=seed)
+
+    def test_numpy_integer_seed_stored_as_int(self):
+        small = dict(num_particles=10, num_steps=3, num_mc_runs=2)
+        config = BenchmarkConfig(seed=np.int64(3), **small)
+        assert type(config.seed) is int and config.seed == 3
+        assert run_benchmark(config) == run_benchmark(BenchmarkConfig(seed=3, **small))
+        assert BenchmarkConfig(seed=-1).seed == -1  # RngStream masks it, as before
+
     def test_bare_string_methods_rejected(self):
         # a str is a sequence too, of one-letter "methods"
         with pytest.raises(ValidationError, match="not a str"):

@@ -36,6 +36,37 @@ class TestWeightVector:
         with pytest.raises(ValidationError):
             WeightVector([])
 
+    @pytest.mark.parametrize("weights, message", [
+        ([0.5, np.nan, -0.5, 1.0], "non-finite weight nan at index 1"),
+        ([0.5, -0.5, np.nan, 1.0], "non-finite weight nan at index 2"),
+        ([1.0, -np.inf], "non-finite weight -inf at index 1"),
+        ([0.0, np.inf], "non-finite weight inf at index 1"),
+        ([np.inf, np.nan], "non-finite weight inf at index 0"),
+        ([np.inf, -np.inf], "non-finite weight inf at index 0"),
+        ([0.6, -0.0, -0.1, 0.5], "negative weight -0.1 at index 2"),
+        ([1e308, 1e308], "weights sum to inf, expected 1 within 1e-09"),
+        ([0.5, 0.6], "weights sum to 1.1, expected 1 within 1e-09"),
+        ([[0.5, 0.5]], "weights must be a non-empty 1-d sequence"),
+    ])
+    def test_names_the_first_bad_entry_and_warns_nothing(self, weights, message):
+        # [1e308, 1e308] overflows the sum and [inf, -inf] sums to nan: each
+        # used to leak NumPy's RuntimeWarning ahead of the ValidationError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                WeightVector(weights)
+        assert str(info.value) == message
+
+    def test_stores_weights_over_their_sum_bit_for_bit(self):
+        g = np.random.default_rng(71)
+        for m in (1, 2, 3, 100, 1000, 10**5):
+            for raw in (g.random(m), g.lognormal(0.0, 3.0, m), g.random(m) * (g.random(m) < 0.5)):
+                raw[0] += 1e-300
+                x = raw / raw.sum() * (1.0 + 1e-10 * g.standard_normal())
+                w = WeightVector(x)
+                assert np.array_equal(w.weights, x / x.sum())
+                assert not w.weights.flags.writeable and x.flags.writeable
+
 
 class TestAllocation:
     def test_sum_mismatch(self):
@@ -148,6 +179,18 @@ class TestMetrics:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError, match="mismatch"):
             mse([1, 1], [1.0])
+
+    def test_bit_equal_to_np_mean(self):
+        g = np.random.default_rng(73)
+        for m in (1, 2, 7, 100, 129, 1000, 10**5):
+            for _ in range(3):
+                raw = g.lognormal(0.0, 2.0, m)
+                w = WeightVector(raw / raw.sum())
+                sizes = g.integers(0, 50, m)
+                sizes[0] += 1
+                d = sizes - sizes.sum() * w.weights
+                assert mse(sizes, w) == float(np.mean(d * d))
+                assert mae(sizes, w) == float(np.mean(np.abs(d)))
 
 
 class TestBoundCheck:

@@ -309,6 +309,38 @@ def test_running_sums_above_one_still_give_valid_counts():
             assert c.sizes.sum() == n, name
 
 
+def masked_cdf(running):
+    """_cdf's earlier form: compare every entry, then set the masked ones."""
+    running[running >= min(running[-1], 1.0)] = 1.0
+    return running
+
+
+def test_cdf_clamp_matches_masked_compare():
+    heavy = np.random.default_rng(53).lognormal(0.0, 10.0, 50)  # as above
+    g = np.random.default_rng(61)
+    cases = {
+        "passes 1 early": np.cumsum(WeightVector(heavy / heavy.sum()).weights),
+        "ends ulps short of 1": np.cumsum(np.full(10, 0.1)),
+        "runs of zeros": np.cumsum(np.repeat([0.0, 0.25, 0.0, 0.5, 0.0, 0.25, 0.0], 4)),
+        "trailing zeros after 1": np.cumsum([0.5, 0.5, 0.0, 0.0]),
+        "M = 1": np.array([1.0]),
+        "M = 1, short of 1": np.array([1.0 - 2**-52]),
+        "one entry": np.array([0.0]),
+    }
+    assert cases["passes 1 early"][:-1].max() > 1.0
+    assert cases["ends ulps short of 1"][-1] < 1.0
+    for m in (2, 7, 100, 10_000):
+        for trial in range(5):
+            raw = g.lognormal(0.0, 3.0, m) * (g.random(m) < 0.7)
+            raw[0] += 1e-300  # a positive total
+            cases[f"fuzz {m} #{trial}"] = np.cumsum(raw / raw.sum())
+    for kind, running in cases.items():
+        want = masked_cdf(running.copy())
+        got = _cdf(running.copy())
+        assert np.array_equal(got, want), kind
+        assert got[-1] == 1.0 or running[-1] == 0.0, kind
+
+
 # Reference kernels: the forms the schemes had before the sorted-draw,
 # cumulative-count and selection kernels. Each takes the stored weights and
 # consumes the stream exactly as its scheme does.

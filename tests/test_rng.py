@@ -166,6 +166,66 @@ def test_uniform_rows_are_the_streams_own_draws():
     assert uniform_rows(streams, 0).shape == (4, 0)
 
 
+def unblocked_rows(rngs, k):
+    """The single-pass SplitMix64 array kernel uniform_rows had before blocking."""
+    u = lambda b: np.uint64(b)
+    seeds = np.array([g.seed for g in rngs], dtype=np.uint64)
+    first = np.array([g._count + 1 for g in rngs], dtype=np.uint64)
+    z = first[:, None] + np.arange(k, dtype=np.uint64)
+    z *= u(0x9E3779B97F4A7C15)
+    z += seeds[:, None]
+    z ^= z >> u(30)
+    z *= u(0xBF58476D1CE4E5B9)
+    z ^= z >> u(27)
+    z *= u(0x94D049BB133111EB)
+    z ^= z >> u(31)
+    z >>= u(11)
+    return z.astype(np.float64) * 2.0**-53
+
+
+@pytest.mark.parametrize("rows, k", [
+    (1, 0), (1, 1), (1, 2**15 - 1), (1, 2**15), (1, 2**15 + 1), (1, 3 * 2**15 + 7),
+    (3, 2**15 + 1), (400, 100), (328, 100), (7, 2**15 // 7 + 1),
+])
+def test_uniform_rows_match_scalar_draws_across_blocks(rows, k):
+    streams = [RngStream(17).spawn(i) for i in range(rows)]
+    for i, g in enumerate(streams):  # at different, nonzero positions
+        g.next_uniforms(1 + i % 5)
+    scalar = [RngStream(g.seed) for g in streams]
+    for a, g in zip(scalar, streams):
+        a.next_uniforms(g.draws)
+    before = [g.draws for g in streams]
+    want = unblocked_rows(streams, k)
+    got = uniform_rows(streams, k)
+    assert got.shape == (rows, k) and got.dtype == np.float64
+    assert np.array_equal(got, want)  # bit for bit
+    assert [g.draws for g in streams] == [b + k for b in before]
+    for r in {0, rows // 2, rows - 1}:  # rows in different blocks
+        assert got[r].tolist() == [scalar[r].next_uniform() for _ in range(k)]
+
+
+def test_seed_must_be_an_integer():
+    # a float seed used to be truncated: RngStream(2.5) was RngStream(2)
+    for seed in (2.5, 3.0, None, "3"):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            RngStream(seed)
+    assert RngStream(np.int64(3)).seed == 3 and type(RngStream(np.int64(3)).seed) is int
+    assert RngStream(-1).seed == 2**64 - 1  # negative seeds are masked
+
+
+def test_spawn_key_must_be_an_integer():
+    # a float key used to be truncated: spawn(2.5) was spawn(2)
+    for key in (2.5, 2.0, None):
+        with pytest.raises(ValidationError, match="key must be an integer"):
+            RngStream(5).spawn(key)
+    assert RngStream(5).spawn(np.int64(2)).seed == RngStream(5).spawn(2).seed
+
+
+def test_uniform_rows_of_no_streams():
+    for k in (0, 5, 2**15 + 1):
+        assert uniform_rows([], k).shape == (0, k)
+
+
 @pytest.mark.parametrize("draw", [
     lambda rng, size: normals(rng, size),
     lambda rng, size: gammas(rng, 3, 2, size),
