@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import Allocation, ValidationError, WeightVector
+from .partition import Allocation, ValidationError, WeightVector, _check_n
 from .resampling import (
     RESAMPLERS,
     ParticleSet,
@@ -186,7 +186,11 @@ def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
     """
     if method not in RESAMPLERS:
         raise ValidationError(f"unknown resampling method {method!r}")
-    n_out = len(p) if num_out is None else int(num_out)
+    n_out = len(p) if num_out is None else _check_n(num_out)
+    # a nan or infinite y_obs, or a nan t, would surface as a particle collapse
+    if not math.isfinite(y_obs):
+        raise ValidationError(f"y_obs must be finite, got {y_obs!r}")
+    t = _integer("t", t, 1)
     states, _, stored, estimates, live = _propagate_and_weigh(
         p.states[None], p.weights.weights[None], np.array([y_obs], dtype=float), t,
         [rng], params)
@@ -207,6 +211,7 @@ def simulate_truth(num_steps, rng, params: ModelParams = ModelParams()):
     streams, for two (R, num_steps) arrays whose row r comes from rng[r].
     Each step draws its Gamma noise, then its observation noise.
     """
+    num_steps = _integer("num_steps", num_steps, 1)
     rows = [rng] if isinstance(rng, RngStream) else rng
     xs = np.empty((len(rows), num_steps))
     ys = np.empty((len(rows), num_steps))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,27 @@ class WeightVector:
 
     def __len__(self):
         return self.weights.size
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """The weights' running sums as a CDF (see ``_cdf``); built once, read-only."""
+        cdf = _cdf(self.weights.cumsum())
+        cdf.flags.writeable = False
+        return cdf
+
+
+def _cdf(running: np.ndarray) -> np.ndarray:
+    """Turn running sums of nonnegative mass into a CDF, in place.
+
+    Running sums of weights that add to 1 within rounding can pass 1 before
+    the last entry, or end a few ulps short of 1. Every entry at or above the
+    smaller of 1 and the last one is set to 1: the CDF is then nondecreasing
+    within [0, 1], which both count kernels rely on, and ends at 1 without
+    handing a shortfall to trailing zero-mass bins. Adding a nonnegative float
+    never lowers a float sum, so those entries are a suffix, found by one search.
+    """
+    running[running.searchsorted(min(running[-1], 1.0)):] = 1.0
+    return running
 
 
 @dataclass(frozen=True, eq=False)

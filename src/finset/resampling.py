@@ -16,13 +16,15 @@ copies, returned as per-particle copy counts:
   so ``rsr_resample`` is the systematic entry point under RSR's name
   (1 uniform).
 
-Every CDF is nondecreasing within [0, 1] and ends at exactly 1. The two
-draw-based schemes count the draws below each CDF value, never searching
-per draw: small calls sort the draws and search them once per CDF value;
-large, balanced ones (``_merged_readout``) sort exact integer keys of both
-at once. The two readouts give the same counts. Systematic and rsr share
-one closed-form kernel, cumulative counts ceil(n*cdf - u), which gives M
-counts summing to n for every offset.
+Every CDF is nondecreasing within [0, 1] and ends at exactly 1. Multinomial,
+systematic and rsr only read the CDF that a ``WeightVector`` builds once and
+caches (``WeightVector.cdf``), so a population passed to several schemes sums
+its weights once. The two draw-based schemes count the draws below each CDF
+value, never searching per draw: small calls sort the draws and search them
+once per CDF value; large, balanced ones (``_merged_readout``) sort exact
+integer keys of both at once. The two readouts give the same counts.
+Systematic and rsr share one closed-form kernel, cumulative counts
+ceil(n*cdf - u), which gives M counts summing to n for every offset.
 
 Sampling variance is the mean squared discrepancy between counts and their
 real-valued expectations n*w, identical to the partition MSE metric.
@@ -46,7 +48,7 @@ from .partition import (
     lmse_partition,
     mse,
 )
-from .rng import RngStream
+from .rng import _BLOCK, RngStream
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +63,8 @@ class ParticleSet:
         wv = as_weights(weights)
         if arr.ndim != 1:
             raise ValidationError("states must be 1-d")
+        if not np.all(np.isfinite(arr)):  # it would surface as a particle collapse
+            raise ValidationError(f"states must be finite, got {arr[~np.isfinite(arr)][0]}")
         if arr.size != len(wv):
             raise ValidationError(
                 f"length mismatch: {arr.size} states vs {len(wv)} weights"
@@ -108,20 +112,6 @@ def msv_resample(p, n, rng: RngStream | None = None) -> ResampleCounts:
     return ResampleCounts(lmse_partition(_weights_of(p), n))
 
 
-def _cdf(running: np.ndarray) -> np.ndarray:
-    """Turn running sums of nonnegative mass into a CDF, in place.
-
-    Running sums of weights that add to 1 within rounding can pass 1 before
-    the last entry, or end a few ulps short of 1. Every entry at or above the
-    smaller of 1 and the last one is set to 1: the CDF is then nondecreasing
-    within [0, 1], which both count kernels rely on, and ends at 1 without
-    handing a shortfall to trailing zero-mass bins. Adding a nonnegative float
-    never lowers a float sum, so those entries are a suffix, found by one search.
-    """
-    running[running.searchsorted(min(running[-1], 1.0)):] = 1.0
-    return running
-
-
 def _add_counts(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
     """Add to counts, in place, the per-bin counts of cumulative counts cum."""
     counts += cum
@@ -143,7 +133,7 @@ def _merged_readout(m: int, k: int) -> bool:
 
 
 def _draw_cum(cdf: np.ndarray, rng: RngStream, k: int) -> np.ndarray:
-    """Cumulative inverse-CDF counts of k uniforms from rng; cdf may be overwritten.
+    """Cumulative inverse-CDF counts of k uniforms from rng; cdf is only read.
 
     A draw lands in the first bin whose CDF value exceeds it, so the draws
     landing in bins 0..m number those strictly below cdf[m]. Counts do not
@@ -153,16 +143,17 @@ def _draw_cum(cdf: np.ndarray, rng: RngStream, k: int) -> np.ndarray:
     u = rng.next_uniforms(k)
     if not _merged_readout(m, k):
         u.sort()
-        return np.searchsorted(u, cdf, side="left")
+        return u.searchsorted(cdf)  # side="left"
     # An RngStream uniform is j*2**-53 exactly, so u < c iff j < ceil(c*2**53).
     # The CDF values become the even keys 2*ceil(c*2**53) and the draws the
     # odd keys 2*j + 1, which never tie; after one sort, the draws below
     # cdf[m] are the odd keys before the m-th even key: its position minus m.
     keys = np.empty(m + k, dtype=np.uint64)
-    np.ceil(np.multiply(cdf, 2.0**53, out=cdf), out=cdf)
-    np.multiply(cdf, 2.0, out=keys[:m], casting="unsafe")
+    for b in range(0, m, _BLOCK):  # block-sized temporaries, not an M-sized one
+        c = cdf[b:b + _BLOCK] * 2.0**53
+        np.multiply(np.ceil(c, out=c), 2.0, out=keys[b:b + c.size], casting="unsafe")
     np.multiply(u, 2.0**54, out=keys[m:], casting="unsafe")
-    del u  # released before the sort and the readout
+    del c, u  # released before the sort and the readout
     keys[m:] |= np.uint64(1)
     keys.sort()
     keys &= np.uint64(1)
@@ -174,10 +165,8 @@ def _draw_cum(cdf: np.ndarray, rng: RngStream, k: int) -> np.ndarray:
 
 def multinomial_resample(p, n, rng: RngStream) -> ResampleCounts:
     """n independent draws from the weight distribution via inverse CDF."""
-    wv = _weights_of(p)
+    cdf = _weights_of(p).cdf  # a copy made from raw weights is freed here
     n = _check_n(n)
-    cdf = _cdf(wv.weights.cumsum())
-    del wv  # a copy made from raw weights is not needed past its running sums
     cum = _draw_cum(cdf, rng, n)
     # counts are allocated after the readout, so they never coexist with the
     # draws, their keys or the stream's temporaries
@@ -187,22 +176,20 @@ def multinomial_resample(p, n, rng: RngStream) -> ResampleCounts:
 
 def systematic_resample(p, n, rng: RngStream) -> ResampleCounts:
     """One uniform offset, n evenly spaced grid points through the CDF."""
-    wv = _weights_of(p)
+    cdf = _weights_of(p).cdf  # as in multinomial_resample
     n = _check_n(n)
-    return _systematic_counts(wv, n, rng.next_uniform())
+    return _systematic_counts(cdf, n, rng.next_uniform())
 
 
-def _systematic_counts(wv: WeightVector, n: int, u: float) -> ResampleCounts:
+def _systematic_counts(cdf: np.ndarray, n: int, u: float) -> ResampleCounts:
     # Grid point (u + i)/n lies below cdf[m] for i < n*cdf[m] - u, so the
     # cumulative counts are ceil(n*cdf - u), within [0, n] for cdf in [0, 1]
-    # and u in [0, 1). One buffer holds the CDF and then the cumulative
-    # counts, whole floats whose differences are exact.
-    cum = _cdf(wv.weights.cumsum())
+    # and u in [0, 1): whole floats, whose differences are exact.
     # When u is within an ulp of 1, n - u rounds down to n - 1; where cdf is
     # 1 the count is then n, which keeps the total exact and gives trailing
     # zero-weight particles no copy
-    top = cum == 1.0 if math.ceil(n - u) < n else None
-    cum *= n
+    top = cdf == 1.0 if math.ceil(n - u) < n else None
+    cum = np.multiply(cdf, n)
     cum -= u
     np.ceil(cum, out=cum)
     if top is not None:

@@ -13,7 +13,9 @@ one SplitMix64 kernel, and ``normals`` and ``gammas`` take either one stream
 or a sequence of streams, one output row each. The kernel mixes at most 2**15
 values at a time, in blocks of whole rows or of one row's columns, so its
 passes over the values stay in a core's L2 cache; a draw that fits one block,
-such as every draw of the default SIR benchmark, runs no loop.
+such as every draw of the default SIR benchmark, runs no loop. Each block adds
+its start counter to a prefix of one constant table of the steps j*golden,
+j < 2**15, built at import, so no draw rebuilds them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ _INV_2_53 = 2.0**-53
 _U_GOLDEN, _U_MIX1, _U_MIX2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
 _U11, _U27, _U30, _U31 = (np.uint64(b) for b in (11, 27, 30, 31))
 _BLOCK = 1 << 15  # uniform_rows' values per block: 256 KiB, plus as much output
+# draw j of a block is the mix of the block's start + j*golden, mod 2**64
+_STEPS = np.arange(_BLOCK, dtype=np.uint64)
+_STEPS *= _U_GOLDEN  # in place: no second 256 KiB array at import
+_STEPS.flags.writeable = False
 
 
 def _mix(z: int) -> int:
@@ -67,7 +73,14 @@ class RngStream:
 
     def next_uniforms(self, k: int) -> np.ndarray:
         """k uniforms as a float64 array; identical to k scalar draws."""
-        return uniform_rows((self,), k)[0]
+        k = _check_size(k)
+        if k > _BLOCK:
+            return uniform_rows((self,), k)[0]
+        start = np.uint64((self.seed + (self._count + 1) * _GOLDEN) & _MASK)
+        self._count += k
+        out = np.empty(k)
+        _mix_into(_STEPS[:k] + start, out)
+        return out
 
     def spawn(self, key: int) -> "RngStream":
         """Derive an independent child stream from this stream's seed."""
@@ -86,25 +99,23 @@ def uniform_rows(rngs, k: int) -> np.ndarray:
     stream advances by k.
     """
     k = _check_size(k)
-    # draw j (from 0) of stream g is the mix of start + j*golden, mod 2**64
     start = np.array([(g.seed + (g._count + 1) * _GOLDEN) & _MASK for g in rngs],
                      dtype=np.uint64)[:, None]
     for g in rngs:
         g._count += k
-    steps = np.arange(k, dtype=np.uint64)
-    steps *= _U_GOLDEN  # in place: wrapping uint64 arithmetic
     out = np.empty((len(rngs), k))
-    if out.size <= _BLOCK:  # measured: a one-block loop costs about 3 us more
-        _mix_into(np.add(start, steps), out)
+    if max(out.size, k) <= _BLOCK:  # measured: a one-block loop costs about 3 us more
+        _mix_into(np.add(start, _STEPS[:k]), out)
         return out
     # whole rows per block while they fit, else one row in column chunks
     rows, cols = max(1, _BLOCK // k), min(k, _BLOCK)
     z = np.empty(rows * cols, dtype=np.uint64)
-    for r in range(0, len(rngs), rows):
-        for c in range(0, k, cols):
+    for c in range(0, k, cols):
+        first = start + np.uint64(c * _GOLDEN & _MASK)
+        for r in range(0, len(rngs), rows):
             block = out[r:r + rows, c:c + cols]
             zb = z[:block.size].reshape(block.shape)
-            np.add(start[r:r + rows], steps[c:c + cols], out=zb)
+            np.add(first[r:r + rows], _STEPS[:block.shape[1]], out=zb)
             _mix_into(zb, block)
     return out
 

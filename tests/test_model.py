@@ -17,6 +17,7 @@ from finset.model import (
     sir_step,
     state_transition,
 )
+from finset import partition
 from finset.partition import ValidationError, WeightVector
 from finset.resampling import RESAMPLERS, ParticleSet
 from finset.rng import RngStream
@@ -159,9 +160,35 @@ class TestSirStep:
         assert rng.draws == 10  # 3x3 gamma uniforms + 1 systematic offset
 
     def test_collapse_reported_with_step(self):
+        # every likelihood underflows to 0 this far from a tight observation
         p = ParticleSet([0.0, 1.0], WeightVector([0.5, 0.5]))
         with pytest.raises(ParticleCollapseError, match="step 3"):
-            sir_step(p, float("nan"), 3, "msv", RngStream(0))
+            sir_step(p, 1e3, 3, "msv", RngStream(0), ModelParams(obs_noise_std=1e-154))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(num_out=2.5), "n must be a positive integer"),  # it ran with 2 particles
+        (dict(num_out=0), "n must be a positive integer"),
+        # these three used to raise a misleading ParticleCollapseError
+        (dict(y_obs=float("nan")), "y_obs must be finite, got nan"),
+        (dict(y_obs=float("inf")), "y_obs must be finite, got inf"),
+        (dict(y_obs=-float("inf")), "y_obs must be finite, got -inf"),
+        (dict(t=float("nan")), "t must be an integer >= 1, got nan"),
+        (dict(t=2.5), "t must be an integer >= 1, got 2.5"),
+        (dict(t=0), "t must be an integer >= 1, got 0"),
+    ], ids=["num_out 2.5", "num_out 0", "y_obs nan", "y_obs inf", "y_obs -inf", "t nan",
+            "t 2.5", "t 0"])
+    def test_bad_arguments_rejected_before_drawing(self, kwargs, message):
+        p = ParticleSet([0.0, 1.0], WeightVector([0.5, 0.5]))
+        args = dict(y_obs=0.5, t=3, method="systematic", rng=RngStream(0)) | kwargs
+        with pytest.raises(ValidationError, match=message):
+            sir_step(p, **args)
+        assert args["rng"].draws == 0
+
+    def test_numpy_integer_step_accepted(self):
+        p = ParticleSet([0.0, 1.0], WeightVector([0.5, 0.5]))
+        a = sir_step(p, 0.5, np.int64(3), "systematic", RngStream(0), num_out=np.int64(2))
+        b = sir_step(p, 0.5, 3, "systematic", RngStream(0), num_out=2)
+        assert list(a[0].states) == list(b[0].states) and a[1:] == b[1:]
 
     def test_unknown_method(self):
         p = ParticleSet([0.0], WeightVector([1.0]))
@@ -170,6 +197,14 @@ class TestSirStep:
 
 
 class TestSimulateTruth:
+    @pytest.mark.parametrize("num_steps", [2.5, -1, 0, None])
+    def test_num_steps_must_be_a_positive_integer(self, num_steps):
+        # 2.5 raised a bare TypeError, and -1 a bare NumPy ValueError
+        rng = RngStream(4)
+        with pytest.raises(ValidationError, match="num_steps must be an integer >= 1"):
+            simulate_truth(num_steps, rng)
+        assert rng.draws == 0
+
     def test_shapes_and_reproducibility(self):
         xs, ys = simulate_truth(25, RngStream(4))
         xs2, ys2 = simulate_truth(25, RngStream(4))
@@ -271,6 +306,14 @@ class TestBatchedRuns:
         with pytest.raises(ParticleCollapseError) as exc:
             run_benchmark(cfg, ModelParams(obs_noise_std=std))
         assert str(exc.value) == message
+
+    def test_one_cdf_build_per_run_and_step(self, monkeypatch):
+        # multinomial, systematic, rsr and the systematic baseline share it
+        builds = []
+        cdf = partition._cdf
+        monkeypatch.setattr(partition, "_cdf", lambda running: builds.append(1) or cdf(running))
+        run_benchmark(BenchmarkConfig(num_particles=6, num_steps=3, num_mc_runs=4, seed=2))
+        assert len(builds) == 4 * 3
 
     def test_registry_called_once_per_run_step_and_scheme(self, monkeypatch):
         calls = []

@@ -6,6 +6,7 @@ from finset.partition import (
     ResidualVector,
     ValidationError,
     WeightVector,
+    _cdf,
     brute_force_partition,
     lmse_partition,
 )
@@ -20,7 +21,6 @@ from finset.resampling import (
     rsr_resample,
     sampling_variance,
     systematic_resample,
-    _cdf,
     _draw_cum,
     _merged_readout,
     _rsr_counts,
@@ -39,6 +39,12 @@ class TestParticleSet:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             ParticleSet([1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("state", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_rejected(self, state):
+        # it used to pass, then fail the next SIR step as a particle collapse
+        with pytest.raises(ValidationError, match=f"states must be finite, got {state}"):
+            ParticleSet([0.0, state], [0.5, 0.5])
 
     def test_weight_validation_propagates(self):
         with pytest.raises(ValidationError):
@@ -126,11 +132,11 @@ class TestMultinomial:
 
 class TestSystematic:
     def test_forced_offset_zero_even_split(self):
-        assert list(_systematic_counts(WeightVector([0.5, 0.5]), 2, 0.0).sizes) == [1, 1]
+        assert list(_systematic_counts(WeightVector([0.5, 0.5]).cdf, 2, 0.0).sizes) == [1, 1]
 
     def test_forced_offset_zero_three_bins(self):
         # grid {0,.2,.4,.6,.8} against CDF breaks {0.46, 0.80, 1.0}
-        counts = _systematic_counts(WeightVector([0.46, 0.34, 0.20]), 5, 0.0)
+        counts = _systematic_counts(WeightVector([0.46, 0.34, 0.20]).cdf, 5, 0.0)
         assert list(counts.sizes) == [3, 1, 1]
 
     def test_single_particle(self):
@@ -144,7 +150,7 @@ class TestSystematic:
     def test_largest_offset_keeps_m_counts(self):
         # 1 - 2**-53 is the largest uniform RngStream emits; there the last
         # grid point (u + n - 1)/n rounds to 1.0, past every CDF entry
-        counts = _systematic_counts(WeightVector([0.46, 0.34, 0.20]), 5, 1 - 2**-53)
+        counts = _systematic_counts(WeightVector([0.46, 0.34, 0.20]).cdf, 5, 1 - 2**-53)
         assert len(counts) == 3
         assert counts.sizes.sum() == 5
 
@@ -154,7 +160,7 @@ class TestSystematic:
         # sums end an ulp short of 1
         w = WeightVector(weights)
         for kernel in (_systematic_counts, _rsr_counts):
-            counts = kernel(w, 2, 1 - 2**-53).sizes
+            counts = kernel(w.cdf, 2, 1 - 2**-53).sizes
             assert counts.sum() == 2
             assert np.all(counts[w.weights == 0.0] == 0), kernel.__name__
 
@@ -193,12 +199,12 @@ class TestRsr:
         assert list(rsr_resample(pset([1.0]), 5, RngStream(2)).sizes) == [5]
 
     def test_forced_offset_quarter(self):
-        assert list(_rsr_counts(WeightVector([0.5, 0.5]), 2, 0.25).sizes) == [1, 1]
+        assert list(_rsr_counts(WeightVector([0.5, 0.5]).cdf, 2, 0.25).sizes) == [1, 1]
 
     def test_matches_systematic_at_same_offset(self):
         w = WeightVector([0.46, 0.34, 0.20])
-        assert list(_rsr_counts(w, 5, 0.0).sizes) == list(
-            _systematic_counts(w, 5, 0.0).sizes
+        assert list(_rsr_counts(w.cdf, 5, 0.0).sizes) == list(
+            _systematic_counts(w.cdf, 5, 0.0).sizes
         )
 
     def test_consumes_one_uniform(self):
@@ -302,7 +308,7 @@ def test_running_sums_above_one_still_give_valid_counts():
     p = ParticleSet(np.arange(len(w), dtype=float), w)
     for n in (len(w), 7, 1000):
         results = {name: fn(p, n, RngStream(n)) for name, fn in RESAMPLERS.items()}
-        results["systematic at offset 0"] = _systematic_counts(w, n, 0.0)
+        results["systematic at offset 0"] = _systematic_counts(w.cdf, n, 0.0)
         for name, c in results.items():
             assert len(c) == len(w), name
             assert np.all(c.sizes >= 0), name
@@ -432,6 +438,24 @@ def test_kernels_match_reference_at_large_m():
             assert rng.draws == ref_rng.draws, (name, sigma)
         assert _merged_readout(m, m)
         assert _merged_readout(m, m - int(np.floor(m * w.weights).sum()))
+
+
+@pytest.mark.parametrize("m", [100, 5000])  # 5000 takes the merged readout
+def test_one_weight_vector_serves_every_scheme(m):
+    raw = np.random.default_rng(m).lognormal(0.0, 2.0, m)
+    raw /= raw.sum()
+    w = WeightVector(raw)
+    weights, cdf = w.weights.copy(), w.cdf.copy()
+    for name, fn in RESAMPLERS.items():
+        rng, raw_rng = RngStream(3), RngStream(3)
+        assert np.array_equal(fn(w, m, rng).sizes, fn(raw, m, raw_rng).sizes), name
+        assert rng.draws == raw_rng.draws, name
+    assert _merged_readout(m, m) == (m == 5000)
+    # the CDF is built once, then only read, by every scheme
+    assert w.cdf is w.cdf
+    assert np.array_equal(w.weights, weights) and np.array_equal(w.cdf, cdf)
+    assert not w.weights.flags.writeable and not w.cdf.flags.writeable
+    assert np.array_equal(w.cdf, _cdf(np.cumsum(weights)))
 
 
 class FixedStream:

@@ -183,9 +183,25 @@ def unblocked_rows(rngs, k):
     return z.astype(np.float64) * 2.0**-53
 
 
-@pytest.mark.parametrize("rows, k", [
-    (1, 0), (1, 1), (1, 2**15 - 1), (1, 2**15), (1, 2**15 + 1), (1, 3 * 2**15 + 7),
-    (3, 2**15 + 1), (400, 100), (328, 100), (7, 2**15 // 7 + 1),
+BLOCK_EDGES = [0, 1, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7]
+
+
+@pytest.mark.parametrize("k", BLOCK_EDGES)
+def test_next_uniforms_match_scalar_draws_across_blocks(k):
+    g = RngStream(23)
+    g.next_uniforms(3)
+    scalar = RngStream(23)
+    scalar.next_uniforms(3)
+    want = unblocked_rows([g], k)[0]
+    got = g.next_uniforms(k)
+    assert got.shape == (k,) and got.dtype == np.float64
+    assert np.array_equal(got, want)  # bit for bit
+    assert g.draws == 3 + k
+    assert got.tolist() == [scalar.next_uniform() for _ in range(k)]
+
+
+@pytest.mark.parametrize("rows, k", [(1, k) for k in BLOCK_EDGES] + [(3, k) for k in BLOCK_EDGES] + [
+    (400, 100), (328, 100), (7, 2**15 // 7 + 1),
 ])
 def test_uniform_rows_match_scalar_draws_across_blocks(rows, k):
     streams = [RngStream(17).spawn(i) for i in range(rows)]
