@@ -28,7 +28,7 @@ from .resampling import (
 from .rng import RngStream, gammas, normals
 from .model import (
     BenchmarkConfig,
-    BenchmarkRecord,
+    BenchmarkResult,
     METHODS,
     ModelParams,
     ParticleCollapseError,

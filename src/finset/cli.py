@@ -100,17 +100,19 @@ def cmd_benchmark(args) -> int:
         baseline_method=args.baseline,
         resample_each_step=not args.no_step_resampling,
     )
-    records = run_benchmark(config)
+    result = run_benchmark(config)
+    columns = [c.tolist() for c in (result.x_true, result.y_obs, result.estimate)]
+    sv = [(m, column.tolist()) for m, column in result.sv.items()]
     lines = ["run,t,x_true,y_obs,method,estimate,sv"]
-    for rec in records:
-        head = f"{rec.run},{rec.t},{_fmt(rec.x_true)},{_fmt(rec.y_obs)},"
-        estimate = _fmt(rec.estimate)
-        for m in config.methods:
-            lines.append(f"{head}{m},{estimate},{_fmt(rec.sv[m])}")
+    for run, rows in enumerate(zip(*columns)):
+        for t, (x, y, estimate) in enumerate(zip(*rows), 1):
+            head, tail = f"{run},{t},{x!r},{y!r},", f",{estimate!r},"
+            for m, column in sv:
+                lines.append(f"{head}{m}{tail}{column[run][t - 1]!r}")
     _emit(lines, args.output)
 
     agg_lines = ["t,method,mean_sv"]
-    for (t, m), mean_sv in aggregate_mean_sv(records).items():
+    for (t, m), mean_sv in aggregate_mean_sv(result).items():
         agg_lines.append(f"{t},{m},{_fmt(mean_sv)}")
     agg_path = args.aggregate
     if agg_path is None and args.output is not None:

@@ -20,6 +20,7 @@ run stepped alone would give. The schemes are still called once per run,
 step and scheme through ``RESAMPLERS``, each with that run's stream and
 population: the registry is the extension point, and a replaced entry sees
 every call with one run's weights, as ``sir_step`` gives it.
+``run_benchmark`` returns the outputs as (runs, steps) columns, not records.
 """
 
 from __future__ import annotations
@@ -101,16 +102,20 @@ class BenchmarkConfig:
         object.__setattr__(self, "methods", methods)
 
 
-@dataclass(frozen=True)
-class BenchmarkRecord:
-    """One timestep of one Monte Carlo run."""
+@dataclass(frozen=True, eq=False)
+class BenchmarkResult:
+    """(runs, steps) float64 columns: row r, column t - 1 is run r at step t.
 
-    run: int
-    t: int
-    x_true: float
-    y_obs: float
-    estimate: float
-    sv: dict[str, float]
+    ``sv`` maps each method, in ``config.methods`` order, to its column.
+    """
+
+    x_true: np.ndarray
+    y_obs: np.ndarray
+    estimate: np.ndarray
+    sv: dict[str, np.ndarray]
+
+    def __len__(self):  # the number of (run, step) records
+        return self.estimate.size
 
 
 def state_transition(x_prev, t, u, params: ModelParams = ModelParams()):
@@ -226,8 +231,8 @@ def simulate_truth(num_steps, rng, params: ModelParams = ModelParams()):
 
 
 def run_benchmark(config: BenchmarkConfig,
-                  params: ModelParams = ModelParams()) -> list[BenchmarkRecord]:
-    """Run the full comparison; one BenchmarkRecord per (run, step), in that order.
+                  params: ModelParams = ModelParams()) -> BenchmarkResult:
+    """Run the full comparison; its outputs as (runs, steps) columns.
 
     A collapse raises ParticleCollapseError naming the lowest run that
     collapses and its first collapse step, as running the runs in turn would.
@@ -269,23 +274,14 @@ def run_benchmark(config: BenchmarkConfig,
     if collapse is not None:
         raise collapse
 
-    xs, ys, estimates = xs.tolist(), ys.tolist(), estimates.tolist()
-    svs = {m: v.tolist() for m, v in svs.items()}
-    return [
-        BenchmarkRecord(run=run, t=t, x_true=xs[run][t - 1], y_obs=ys[run][t - 1],
-                        estimate=estimates[run][t - 1],
-                        sv={m: svs[m][run][t - 1] for m in config.methods})
-        for run in range(runs) for t in range(1, steps + 1)
-    ]
+    return BenchmarkResult(xs, ys, estimates, svs)
 
 
-def aggregate_mean_sv(records) -> dict[tuple[int, str], float]:
-    """Per-(timestep, method) mean sampling variance across runs."""
-    sums: dict[tuple[int, str], float] = {}
-    counts: dict[tuple[int, str], int] = {}
-    for rec in records:
-        for m, v in rec.sv.items():
-            key = (rec.t, m)
-            sums[key] = sums.get(key, 0.0) + v
-            counts[key] = counts.get(key, 0) + 1
-    return {k: sums[k] / counts[k] for k in sums}
+def aggregate_mean_sv(result: BenchmarkResult) -> dict[tuple[int, str], float]:
+    """Per-(timestep, method) mean sampling variance across runs, in that order.
+
+    The runs are added in order: unlike a sum, an accumulate is never pairwise.
+    """
+    runs, steps = result.estimate.shape
+    means = {m: (np.cumsum(sv, axis=0)[-1] / runs).tolist() for m, sv in result.sv.items()}
+    return {(t, m): means[m][t - 1] for t in range(1, steps + 1) for m in means}

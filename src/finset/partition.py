@@ -22,6 +22,8 @@ import numpy as np
 # Inputs must sum to 1 within this tolerance; they are then renormalized so
 # downstream arithmetic sees an exact-unit simplex point.
 WEIGHT_SUM_TOL = 1e-9
+# check_local_optimality accepts every transfer whose MSE change exceeds -this.
+LOCAL_OPTIMALITY_TOL = 1e-12
 
 # brute_force_partition refuses instances with more compositions than this.
 BRUTE_FORCE_LIMIT = 10**7
@@ -261,12 +263,12 @@ def check_theory1_bound(a, w) -> bool:
     return bool(np.all(np.abs(d) < 1.0))
 
 
-def check_local_optimality(a, w, tol: float = 1e-12) -> bool:
+def check_local_optimality(a, w) -> bool:
     """True iff no single-unit transfer between bins can lower the MSE.
 
     For a transfer of one unit from donor q (size >= 1) to receiver p, the
     MSE changes by (2/M) * (1 + d[p] - d[q]) with d = sizes - N*w. The check
-    passes when every such change exceeds -tol.
+    passes when every such change exceeds -LOCAL_OPTIMALITY_TOL.
     """
     av = as_allocation(a)
     d = _discrepancy(av, w)
@@ -279,7 +281,7 @@ def check_local_optimality(a, w, tol: float = 1e-12) -> bool:
     worst = np.full(m, d[lo])
     worst[lo] = d[second]
     delta = (2.0 / m) * (1.0 + worst - d)
-    return bool(np.all(delta[av.sizes >= 1] > -tol))
+    return bool(np.all(delta[av.sizes >= 1] > -LOCAL_OPTIMALITY_TOL))
 
 
 def _compositions(n: int, m: int, memo: dict) -> np.ndarray:

@@ -41,6 +41,7 @@ from .partition import (
     Allocation,
     ValidationError,
     WeightVector,
+    as_allocation,
     as_weights,
     _check_n,
     _floors_and_residuals,
@@ -105,6 +106,10 @@ class ResampleCounts:
 
 def _weights_of(p) -> WeightVector:
     return p.weights if isinstance(p, ParticleSet) else as_weights(p)
+
+
+def _allocation_of(c) -> Allocation:
+    return c.counts if isinstance(c, ResampleCounts) else as_allocation(c)
 
 
 def msv_resample(p, n, rng: RngStream | None = None) -> ResampleCounts:
@@ -238,13 +243,13 @@ def sampling_variance(c, w):
                                   f"{np.shape(w)} weights")
         d = c - c.sum(axis=1, keepdims=True) * w
         return np.mean(d * d, axis=1)
-    alloc = c.counts if isinstance(c, ResampleCounts) else c
-    return mse(alloc, w)
+    return mse(_allocation_of(c), w)
 
 
 def counts_to_indices(c) -> np.ndarray:
-    """Expand counts into a sorted index list of length n."""
-    return np.repeat(np.arange(len(c)), c.sizes)
+    """Expand counts, in any form sampling_variance takes, into sorted indices."""
+    sizes = _allocation_of(c).sizes
+    return np.repeat(np.arange(sizes.size), sizes)
 
 
 RESAMPLERS = {

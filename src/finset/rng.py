@@ -10,7 +10,7 @@ from one explicit stream, so runs are reproducible from the seed alone.
 Because a variate depends only on its stream's seed and position, R streams
 that advance in lockstep draw as one (R, k) array: ``uniform_rows`` is the
 one SplitMix64 kernel, and ``normals`` and ``gammas`` take either one stream
-or a sequence of streams, one output row each. The kernel mixes at most 2**15
+or a sequence of distinct streams, one output row each. The kernel mixes at most 2**15
 values at a time, in blocks of whole rows or of one row's columns, so its
 passes over the values stay in a core's L2 cache; a draw that fits one block,
 such as every draw of the default SIR benchmark, runs no loop. Each block adds
@@ -98,6 +98,7 @@ def uniform_rows(rngs, k: int) -> np.ndarray:
     Row r is what ``rngs[r].next_uniforms(k)`` would return, and every
     stream advances by k.
     """
+    _check_distinct(rngs)
     k = _check_size(k)
     start = np.array([(g.seed + (g._count + 1) * _GOLDEN) & _MASK for g in rngs],
                      dtype=np.uint64)[:, None]
@@ -149,6 +150,15 @@ def _integer(name: str, value, low=None) -> int:
     return whole
 
 
+def _check_distinct(rngs) -> None:
+    """Refuse a stream listed twice: its rows would be one draw, not two."""
+    first = {}
+    for i, g in enumerate(rngs):
+        if first.setdefault(id(g), i) != i:
+            raise ValidationError(f"stream at index {i} repeats the stream at index "
+                                  f"{first[id(g)]}; each row needs its own stream")
+
+
 def _check_size(size) -> int:
     """size as an int; a size that is not an integer would desync the stream."""
     size = _integer("size", size)
@@ -195,6 +205,7 @@ def gammas(rng, shape: float, scale: float, size: int) -> np.ndarray:
         return -scale * np.log1p(-u).sum(axis=-2)
     if not isinstance(rng, RngStream):
         # Marsaglia-Tsang draws a varying number of uniforms: stream by stream
+        _check_distinct(rng)
         return np.array([gammas(g, shape, scale, size) for g in rng]).reshape(len(rng), size)
     return np.array([_gamma_one(rng, float(shape)) * scale for _ in range(size)])
 

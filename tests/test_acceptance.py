@@ -122,10 +122,10 @@ def test_criterion_5_benchmark_ordering():
     """Default benchmark reproduces the qualitative sampling-variance ordering."""
     start = time.monotonic()
     cfg = BenchmarkConfig(num_particles=100, num_steps=60, num_mc_runs=100, seed=2024)
-    records = run_benchmark(cfg)
+    result = run_benchmark(cfg)
     elapsed = time.monotonic() - start
 
-    agg = aggregate_mean_sv(records)
+    agg = aggregate_mean_sv(result)
     steps = sorted({t for t, _ in agg})
     msv_min_everywhere = all(
         agg[(t, "msv")] < min(agg[(t, m)] for m in cfg.methods if m != "msv")

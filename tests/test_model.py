@@ -114,7 +114,8 @@ class TestParamValidation:
         small = dict(num_particles=10, num_steps=3, num_mc_runs=2)
         config = BenchmarkConfig(seed=np.int64(3), **small)
         assert type(config.seed) is int and config.seed == 3
-        assert run_benchmark(config) == run_benchmark(BenchmarkConfig(seed=3, **small))
+        assert_same_result(run_benchmark(config),
+                           run_benchmark(BenchmarkConfig(seed=3, **small)))
         assert BenchmarkConfig(seed=-1).seed == -1  # RngStream masks it, as before
 
     def test_bare_string_methods_rejected(self):
@@ -205,6 +206,12 @@ class TestSimulateTruth:
             simulate_truth(num_steps, rng)
         assert rng.draws == 0
 
+    def test_stream_listed_twice_rejected_before_drawing(self):
+        g = RngStream(4)
+        with pytest.raises(ValidationError, match="stream at index 1 repeats"):
+            simulate_truth(3, [g, g])
+        assert g.draws == 0
+
     def test_shapes_and_reproducibility(self):
         xs, ys = simulate_truth(25, RngStream(4))
         xs2, ys2 = simulate_truth(25, RngStream(4))
@@ -224,48 +231,99 @@ class TestSimulateTruth:
             assert g.draws == alone.draws
 
 
+def columns(result):
+    """Every column of a BenchmarkResult, the sv columns in their key order."""
+    return (result.x_true, result.y_obs, result.estimate, *result.sv.values())
+
+
+def assert_same_result(a, b):
+    assert list(a.sv) == list(b.sv)
+    for x, y in zip(columns(a), columns(b), strict=True):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def sequential_mean_sv(result):
+    """The per-record running sums aggregate_mean_sv took before the columns."""
+    sums, counts = {}, {}
+    runs, steps = result.estimate.shape
+    sv = {m: column.tolist() for m, column in result.sv.items()}
+    for run in range(runs):
+        for t in range(1, steps + 1):
+            for m, column in sv.items():
+                key = (t, m)
+                sums[key] = sums.get(key, 0.0) + column[run][t - 1]
+                counts[key] = counts.get(key, 0) + 1
+    return {k: sums[k] / counts[k] for k in sums}
+
+
 class TestRunBenchmark:
     def test_minimal_config_single_record(self):
         cfg = BenchmarkConfig(num_particles=1, num_steps=1, num_mc_runs=1,
                               seed=5, methods=("msv",))
-        records = run_benchmark(cfg)
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.t == 1 and rec.run == 0
-        assert rec.sv["msv"] == pytest.approx(0.0)
+        result = run_benchmark(cfg)
+        assert len(result) == 1
+        assert all(c.shape == (1, 1) for c in columns(result))  # run 0, step 1
+        assert list(result.sv) == ["msv"]
+        assert result.sv["msv"][0, 0] == pytest.approx(0.0)
 
     def test_reproducible(self):
         cfg = BenchmarkConfig(num_particles=20, num_steps=8, num_mc_runs=3, seed=9)
-        a = run_benchmark(cfg)
-        b = run_benchmark(cfg)
-        assert a == b
+        assert_same_result(run_benchmark(cfg), run_benchmark(cfg))
 
     def test_msv_dominates_every_record(self):
         cfg = BenchmarkConfig(num_particles=50, num_steps=35, num_mc_runs=4, seed=2)
-        for rec in run_benchmark(cfg):
-            for m, sv in rec.sv.items():
-                assert rec.sv["msv"] <= sv + 1e-12, (rec.run, rec.t, m)
+        result = run_benchmark(cfg)
+        for m, sv in result.sv.items():
+            worse = np.argwhere(result.sv["msv"] > sv + 1e-12)
+            assert worse.size == 0, (m, worse[:1])  # (run, t - 1)
 
     def test_no_step_resampling_mode(self):
         cfg = BenchmarkConfig(num_particles=30, num_steps=10, num_mc_runs=2,
                               seed=3, resample_each_step=False)
-        records = run_benchmark(cfg)
-        assert len(records) == 20
+        result = run_benchmark(cfg)
+        assert len(result) == 20
 
     def test_aggregate_means(self):
         cfg = BenchmarkConfig(num_particles=20, num_steps=4, num_mc_runs=5, seed=1)
-        records = run_benchmark(cfg)
-        agg = aggregate_mean_sv(records)
+        result = run_benchmark(cfg)
+        agg = aggregate_mean_sv(result)
         assert set(t for t, _ in agg) == {1, 2, 3, 4}
-        manual = np.mean([r.sv["msv"] for r in records if r.t == 2])
+        manual = np.mean(result.sv["msv"][:, 1])
         assert agg[(2, "msv")] == pytest.approx(manual)
 
+    def test_columns_are_runs_by_steps(self):
+        cfg = BenchmarkConfig(num_particles=8, num_steps=5, num_mc_runs=3, seed=4,
+                              methods=("rsr", "msv", "multinomial"))
+        result = run_benchmark(cfg)
+        assert len(result) == 3 * 5
+        assert list(result.sv) == ["rsr", "msv", "multinomial"]
+        for column in columns(result):
+            assert column.shape == (3, 5) and column.dtype == np.float64
 
-def record_digest(records):
+    @pytest.mark.parametrize("config, params", [
+        (dict(), {}),
+        (dict(num_particles=20, num_steps=10, seed=5), dict(gamma_shape=2.5)),
+        # a sum over one-step columns would be pairwise, not run by run
+        (dict(num_particles=20, num_steps=1, seed=3), {}),
+    ], ids=["default", "shape-2.5", "one-step"])
+    def test_aggregate_is_the_sequential_sum(self, config, params):
+        result = run_benchmark(BenchmarkConfig(**config), ModelParams(**params))
+        assert result.estimate.shape[0] == 100
+        got, want = aggregate_mean_sv(result), sequential_mean_sv(result)
+        assert list(got) == list(want)  # (t, method) order
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+
+def record_digest(result):
+    """Digest of the (run, t, x_true, y_obs, estimate, sv items) of every record."""
     h = hashlib.sha256()
-    for r in records:
-        h.update(repr((r.run, r.t, r.x_true, r.y_obs, r.estimate,
-                       tuple(r.sv.items()))).encode() + b"\n")
+    x_true, y_obs, estimate = (c.tolist() for c in (result.x_true, result.y_obs,
+                                                    result.estimate))
+    sv = {m: column.tolist() for m, column in result.sv.items()}
+    for run, (xs, ys, es) in enumerate(zip(x_true, y_obs, estimate)):
+        for t, (x, y, e) in enumerate(zip(xs, ys, es), 1):
+            items = tuple((m, column[run][t - 1]) for m, column in sv.items())
+            h.update(repr((run, t, x, y, e, items)).encode() + b"\n")
     return h.hexdigest()
 
 
@@ -286,11 +344,9 @@ class TestBatchedRuns:
          "1767b0cb9ca9f2330f38cdd8cfc53307a0a8ede92863f34ef37d7cf578b99421"),
     ], ids=["shape-2.5", "shape-0.7", "no-step-resampling", "no-step-resampling-shape-2.5"])
     def test_records_match_run_by_run_digest(self, config, params, digest):
-        records = run_benchmark(BenchmarkConfig(**config), ModelParams(**params))
-        assert [(r.run, r.t) for r in records] == [
-            (run, t) for run in range(config["num_mc_runs"])
-            for t in range(1, config["num_steps"] + 1)]
-        assert record_digest(records) == digest
+        result = run_benchmark(BenchmarkConfig(**config), ModelParams(**params))
+        assert result.estimate.shape == (config["num_mc_runs"], config["num_steps"])
+        assert record_digest(result) == digest
 
     @pytest.mark.parametrize("std, seed, message", [
         (1e-154, 2, "run 0: all particle weights vanished at step 4"),

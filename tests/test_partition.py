@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finset.partition import (
+    LOCAL_OPTIMALITY_TOL,
     Allocation,
     ValidationError,
     WeightVector,
@@ -215,6 +216,12 @@ class TestLocalOptimality:
 
     def test_single_bin_trivially_stable(self):
         assert check_local_optimality([7], [1.0])
+
+    def test_tolerance_is_a_constant(self):
+        # tol=nan made an optimal allocation fail the check
+        assert LOCAL_OPTIMALITY_TOL == 1e-12
+        with pytest.raises(TypeError):
+            check_local_optimality([1, 1], [0.5, 0.5], tol=float("nan"))
 
     def test_matches_all_pairs_oracle(self):
         g = np.random.default_rng(12)

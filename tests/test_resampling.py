@@ -241,6 +241,19 @@ def test_counts_to_indices():
     assert list(counts_to_indices(counts)) == [0, 0, 1, 1, 2]
 
 
+@pytest.mark.parametrize("sizes", [[1, 2], np.array([1, 2]), Allocation([1, 2])],
+                         ids=["list", "array", "Allocation"])
+def test_counts_to_indices_takes_what_sampling_variance_takes(sizes):
+    # caller sizes raised AttributeError: no attribute 'sizes'
+    assert counts_to_indices(sizes).tolist() == [0, 1, 1]
+    assert sampling_variance(sizes, [0.5, 0.5]) == pytest.approx(0.25)
+
+
+def test_counts_to_indices_rejects_negative_sizes():
+    with pytest.raises(ValidationError, match="negative size -1 at index 1"):
+        counts_to_indices([1, -1])
+
+
 def test_all_schemes_sum_to_n_and_reproduce():
     rng_w = np.random.default_rng(21)
     for trial in range(300):

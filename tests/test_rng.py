@@ -259,6 +259,26 @@ def test_sequence_of_streams_draws_one_row_each(draw, size):
         assert g.draws == a.draws
 
 
+@pytest.mark.parametrize("draw", [
+    lambda rngs: uniform_rows(rngs, 2),
+    lambda rngs: normals(rngs, 2),
+    lambda rngs: gammas(rngs, 3, 1, 2),
+    lambda rngs: gammas(rngs, 2.5, 1, 2),
+], ids=["uniform_rows", "normals", "gammas integer shape", "gammas fractional shape"])
+def test_stream_listed_twice_rejected_before_drawing(draw):
+    # uniform_rows and normals gave two equal rows and advanced g twice
+    g, h = RngStream(5), RngStream(6)
+    with pytest.raises(ValidationError,
+                       match="stream at index 2 repeats the stream at index 0"):
+        draw([g, h, g])
+    assert g.draws == h.draws == 0
+
+
+def test_distinct_streams_with_one_seed_are_two_rows():
+    rows = uniform_rows([RngStream(5), RngStream(5)], 3)
+    assert np.array_equal(rows[0], rows[1])
+
+
 def test_gamma_integer_shape_moments():
     g = gammas(RngStream(3), 3, 2, 200_000)
     assert np.all(g > 0)
