@@ -16,7 +16,6 @@ from .partition import (
 from .resampling import (
     RESAMPLERS,
     ParticleSet,
-    ResampleCounts,
     counts_to_indices,
     msv_resample,
     multinomial_resample,

@@ -35,23 +35,16 @@ def _fmt(x) -> str:
 
 
 def _parse_weights(args) -> list[float]:
+    """The --weights list, or the first field of each non-blank --weights-file row."""
     if args.weights is not None:
-        try:
-            return [float(s) for s in args.weights.split(",") if s.strip()]
-        except ValueError as e:
-            raise ValidationError(f"unparsable weight list: {e}") from e
-    vals = []
-    with open(args.weights_file, newline="") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            first = line.split(",")[0].strip()
-            try:
-                vals.append(float(first))
-            except ValueError as e:
-                raise ValidationError(f"unparsable weight {first!r}") from e
-    return vals
+        fields = [s for s in args.weights.split(",") if s.strip()]
+    else:
+        with open(args.weights_file, newline="") as fh:
+            fields = [line.split(",")[0] for line in fh if line.strip()]
+    try:
+        return [float(s) for s in fields]  # float() strips the whitespace itself
+    except ValueError as e:
+        raise ValidationError(f"unparsable weight: {e}") from None
 
 
 def _emit(lines, path):

@@ -37,13 +37,18 @@ from .resampling import (
     counts_to_indices,
     sampling_variance,
 )
-from .rng import RngStream, _integer, gammas, normals
+from .rng import RngStream, _finite, _integer, gammas, normals
 
 METHODS = tuple(RESAMPLERS)
 
 
 class ParticleCollapseError(RuntimeError):
     """All particle weights vanished after the likelihood update."""
+
+
+def _check_method(name: str, method) -> None:
+    if not (isinstance(method, str) and method in RESAMPLERS):  # a list is unhashable
+        raise ValidationError(f"{name} must name a resampling method, got {method!r}")
 
 
 @dataclass(frozen=True)
@@ -60,13 +65,9 @@ class ModelParams:
     def __post_init__(self):
         # a nan or infinite parameter would surface as a particle collapse
         for name in ("omega", "phi1", "phi2", "phi3"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+            _finite(name, getattr(self, name))
         for name in ("gamma_shape", "gamma_scale", "obs_noise_std"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+            _finite(name, getattr(self, name), positive=True)
         # nan would pass a comparison with 1 and give the linear regime throughout
         object.__setattr__(self, "switch_time", _integer("switch_time", self.switch_time, 1))
 
@@ -86,15 +87,18 @@ class BenchmarkConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         # a float seed would be truncated, so two configs would give one run
         object.__setattr__(self, "seed", _integer("seed", self.seed))
-        if isinstance(self.methods, str):
-            raise ValidationError(f"methods must be a sequence of method names, "
-                                  f"not a str ({self.methods!r})")
-        if not self.methods:
+        try:  # a str is a sequence too, of one-letter "methods"
+            methods = None if isinstance(self.methods, str) else tuple(self.methods)
+        except TypeError:
+            methods = None
+        if methods is None:
+            raise ValidationError(f"methods must be a sequence of method names, not a "
+                                  f"{type(self.methods).__name__} ({self.methods!r})")
+        if not methods:
             raise ValidationError("at least one resampling method is required")
-        methods = tuple(self.methods)
-        for m in methods + (self.baseline_method,):
-            if m not in RESAMPLERS:
-                raise ValidationError(f"unknown resampling method {m!r}")
+        for i, m in enumerate(methods):
+            _check_method(f"methods[{i}]", m)
+        _check_method("baseline_method", self.baseline_method)
         # each method draws from its own stream, keyed by the method's name
         repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
         if repeated:
@@ -189,12 +193,10 @@ def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
     Returns (new equally weighted ParticleSet, weighted-mean estimate before
     resampling, sampling variance of the resample counts).
     """
-    if method not in RESAMPLERS:
-        raise ValidationError(f"unknown resampling method {method!r}")
+    _check_method("method", method)
     n_out = len(p) if num_out is None else _check_n(num_out)
     # a nan or infinite y_obs, or a nan t, would surface as a particle collapse
-    if not math.isfinite(y_obs):
-        raise ValidationError(f"y_obs must be finite, got {y_obs!r}")
+    _finite("y_obs", y_obs)
     t = _integer("t", t, 1)
     states, _, stored, estimates, live = _propagate_and_weigh(
         p.states[None], p.weights.weights[None], np.array([y_obs], dtype=float), t,

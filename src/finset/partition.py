@@ -14,6 +14,7 @@ brute-force minimizer used as an independent test oracle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +34,25 @@ class ValidationError(ValueError):
     """Invalid weights, allocations, or arguments."""
 
 
+def _real_array(values, error: str) -> np.ndarray:
+    """values as an array of bools, ints, floats, or real numbers and None (as nan).
+
+    Anything else (strings, bytes, complex, times) raises ValidationError(error).
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        raise ValidationError(error) from None
+    if arr.dtype == object and all(x is None or isinstance(x, numbers.Real) for x in arr.flat):
+        try:
+            arr.astype(float)
+        except OverflowError:  # an int past the float range
+            raise ValidationError(f"{error} within the float range") from None
+    elif arr.dtype.kind not in "biuf":
+        raise ValidationError(error)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class WeightVector:
     """M nonnegative proportions summing to one.
@@ -45,7 +65,8 @@ class WeightVector:
     weights: np.ndarray
 
     def __init__(self, weights):
-        arr = np.atleast_1d(np.asarray(weights, dtype=float))
+        arr = np.atleast_1d(_real_array(
+            weights, "weights must be real numbers").astype(float, copy=False))
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("weights must be a non-empty 1-d sequence")
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
@@ -54,17 +75,13 @@ class WeightVector:
         # and a +inf makes the total non-finite. Only a failure scans for the
         # first bad entry.
         if not (np.minimum.reduce(arr) >= 0 and math.isfinite(total)):
-            if not np.all(np.isfinite(arr)):
-                bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-                raise ValidationError(f"non-finite weight {arr[bad]} at index {bad}")
-            neg = np.flatnonzero(arr < 0)
-            if neg.size:
-                i = int(neg[0])
-                raise ValidationError(f"negative weight {arr[i]} at index {i}")
+            for bad, what in ((~np.isfinite(arr), "non-finite"), (arr < 0, "negative")):
+                if bad.any():
+                    i = int(np.flatnonzero(bad)[0])
+                    raise ValidationError(f"{what} weight {arr[i]} at index {i}")
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValidationError(
-                f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}"
-            )
+            raise ValidationError(f"weights sum to {total!r}, "
+                                  f"expected 1 within {WEIGHT_SUM_TOL}")
         arr = arr / total
         arr.flags.writeable = False
         object.__setattr__(self, "weights", arr)
@@ -109,14 +126,12 @@ class Allocation:
     total: int
 
     def __init__(self, sizes, total=None):
-        arr = np.atleast_1d(np.asarray(sizes))
-        if arr.ndim != 1 or arr.size < 1 or arr.dtype.kind not in "biufO":
-            raise ValidationError("sizes must be a non-empty 1-d sequence of integers")
-        if arr.dtype.kind in "fO":
-            try:  # floats, or Python ints past int64 (an object array)
-                num = arr.astype(float)
-            except (TypeError, ValueError, OverflowError):
-                raise ValidationError("sizes must be integers") from None
+        error = "sizes must be a non-empty 1-d sequence of integers"
+        arr = np.atleast_1d(_real_array(sizes, error))
+        if arr.ndim != 1 or arr.size < 1:
+            raise ValidationError(error)
+        if arr.dtype.kind in "fO":  # floats, or Python ints past int64 (objects)
+            num = arr.astype(float)
             whole = np.isfinite(num) & (num == np.floor(num))
             if not whole.all():
                 i = int(np.flatnonzero(~whole)[0])
@@ -133,7 +148,7 @@ class Allocation:
         if arr.sum(dtype=float) > 2**53 or not 1 <= (s := int(arr.sum())) <= 2**53:
             raise ValidationError("sizes must sum to a positive integer at most 2**53")
         if total is not None and total != s:
-            raise ValidationError(f"sizes sum to {s}, declared total is {total}")
+            raise ValidationError(f"sizes sum to {s}, declared total is {total!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "sizes", arr)
         object.__setattr__(self, "total", s)
@@ -158,7 +173,8 @@ class ResidualVector:
     residuals: np.ndarray
 
     def __init__(self, residuals):
-        arr = np.array(residuals, dtype=float, ndmin=1)  # a copy: the caller's stays writeable
+        arr = _real_array(residuals, "residuals must be real numbers")
+        arr = np.array(arr, float, ndmin=1)  # a copy: the caller's stays writeable
         arr.flags.writeable = False
         object.__setattr__(self, "residuals", arr)
 
@@ -238,9 +254,7 @@ def residuals(w, n) -> ResidualVector:
 def _discrepancy(a, w) -> np.ndarray:
     a, wv = as_allocation(a), as_weights(w)
     if len(a) != len(wv):
-        raise ValidationError(
-            f"length mismatch: {len(a)} sizes vs {len(wv)} weights"
-        )
+        raise ValidationError(f"length mismatch: {len(a)} sizes vs {len(wv)} weights")
     return a.sizes - a.total * wv.weights
 
 
@@ -310,10 +324,8 @@ def brute_force_partition(w, n) -> tuple[Allocation, float]:
     m = len(wv)
     count = math.comb(n + m - 1, m - 1)
     if count > BRUTE_FORCE_LIMIT:
-        raise ValidationError(
-            f"{count} compositions exceed the enumeration limit "
-            f"{BRUTE_FORCE_LIMIT}; shrink n or the number of bins"
-        )
+        raise ValidationError(f"{count} compositions exceed the enumeration limit "
+                              f"{BRUTE_FORCE_LIMIT}; shrink n or the number of bins")
     comps = _compositions(n, m, {})
     d = comps - n * wv.weights
     costs = np.mean(d * d, axis=1)

@@ -1,7 +1,8 @@
 """Resampling schemes for weighted particle sets.
 
 Five schemes that all turn M weighted particles into n equally weighted
-copies, returned as per-particle copy counts:
+copies. Each returns the ``Allocation`` it builds (M read-only int64 copy
+counts summing to n), which every metric takes as it is:
 
 - ``msv``: the minimum-sampling-variance scheme, i.e. the LMSE partition of
   the weights. Purely deterministic, consumes no randomness, and provably
@@ -45,6 +46,7 @@ from .partition import (
     as_weights,
     _check_n,
     _floors_and_residuals,
+    _real_array,
     _surplus,
     lmse_partition,
     mse,
@@ -60,16 +62,15 @@ class ParticleSet:
     weights: WeightVector
 
     def __init__(self, states, weights):
-        arr = np.array(states, dtype=float, ndmin=1)  # a copy: the caller's stays writeable
+        arr = _real_array(states, "states must be real numbers")
+        arr = np.array(arr, float, ndmin=1)  # a copy: the caller's stays writeable
         wv = as_weights(weights)
         if arr.ndim != 1:
             raise ValidationError("states must be 1-d")
         if not np.all(np.isfinite(arr)):  # it would surface as a particle collapse
             raise ValidationError(f"states must be finite, got {arr[~np.isfinite(arr)][0]}")
         if arr.size != len(wv):
-            raise ValidationError(
-                f"length mismatch: {arr.size} states vs {len(wv)} weights"
-            )
+            raise ValidationError(f"length mismatch: {arr.size} states vs {len(wv)} weights")
         arr.flags.writeable = False
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "weights", wv)
@@ -86,35 +87,18 @@ class ParticleSet:
         return self.states.size
 
 
-@dataclass(frozen=True, eq=False)
-class ResampleCounts:
-    """How many times each particle appears in the resampled set."""
-
-    counts: Allocation
-
-    def __len__(self):
-        return len(self.counts)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return self.counts.sizes
-
-    @property
-    def total(self) -> int:
-        return self.counts.total
-
-
 def _weights_of(p) -> WeightVector:
     return p.weights if isinstance(p, ParticleSet) else as_weights(p)
 
 
-def _allocation_of(c) -> Allocation:
-    return c.counts if isinstance(c, ResampleCounts) else as_allocation(c)
+# Only finbench's test_phantom_particle_fails_the_op_not_the_run uses this old name;
+# the benchmark revision of ROADMAP.md item 1 deletes it. Nothing else may use it.
+ResampleCounts = as_allocation
 
 
-def msv_resample(p, n, rng: RngStream | None = None) -> ResampleCounts:
+def msv_resample(p, n, rng: RngStream | None = None) -> Allocation:
     """Minimum-sampling-variance resampling; deterministic, rng untouched."""
-    return ResampleCounts(lmse_partition(_weights_of(p), n))
+    return lmse_partition(_weights_of(p), n)
 
 
 def _add_counts(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
@@ -168,7 +152,7 @@ def _draw_cum(cdf: np.ndarray, rng: RngStream, k: int) -> np.ndarray:
     return cum
 
 
-def multinomial_resample(p, n, rng: RngStream) -> ResampleCounts:
+def multinomial_resample(p, n, rng: RngStream) -> Allocation:
     """n independent draws from the weight distribution via inverse CDF."""
     cdf = _weights_of(p).cdf  # a copy made from raw weights is freed here
     n = _check_n(n)
@@ -176,17 +160,17 @@ def multinomial_resample(p, n, rng: RngStream) -> ResampleCounts:
     # counts are allocated after the readout, so they never coexist with the
     # draws, their keys or the stream's temporaries
     counts = _add_counts(np.zeros(cdf.size, dtype=np.int64), cum)
-    return ResampleCounts(Allocation._trusted(counts, n))
+    return Allocation._trusted(counts, n)
 
 
-def systematic_resample(p, n, rng: RngStream) -> ResampleCounts:
+def systematic_resample(p, n, rng: RngStream) -> Allocation:
     """One uniform offset, n evenly spaced grid points through the CDF."""
     cdf = _weights_of(p).cdf  # as in multinomial_resample
     n = _check_n(n)
     return _systematic_counts(cdf, n, rng.next_uniform())
 
 
-def _systematic_counts(cdf: np.ndarray, n: int, u: float) -> ResampleCounts:
+def _systematic_counts(cdf: np.ndarray, n: int, u: float) -> Allocation:
     # Grid point (u + i)/n lies below cdf[m] for i < n*cdf[m] - u, so the
     # cumulative counts are ceil(n*cdf - u), within [0, n] for cdf in [0, 1]
     # and u in [0, 1): whole floats, whose differences are exact.
@@ -202,7 +186,7 @@ def _systematic_counts(cdf: np.ndarray, n: int, u: float) -> ResampleCounts:
     counts = np.empty(cum.size, dtype=np.int64)
     counts[0] = cum[0]
     np.subtract(cum[1:], cum[:-1], out=counts[1:], casting="unsafe")
-    return ResampleCounts(Allocation._trusted(counts, n))
+    return Allocation._trusted(counts, n)
 
 
 # The RSR carry recursion counts[m] = Floor((w[m] - u_m)*n) + 1, with
@@ -212,7 +196,7 @@ _rsr_counts = _systematic_counts
 rsr_resample = systematic_resample
 
 
-def residual_resample(p, n, rng: RngStream) -> ResampleCounts:
+def residual_resample(p, n, rng: RngStream) -> Allocation:
     """Deterministic floors plus multinomial draws on the residual mass."""
     wv = _weights_of(p)
     n = _check_n(n)
@@ -227,7 +211,7 @@ def residual_resample(p, n, rng: RngStream) -> ResampleCounts:
         del res  # freed before the draws: only the running sums are needed
         cdf = np.divide(cum, cum[-1], out=cum)
         _add_counts(counts, _draw_cum(cdf, rng, remaining))
-    return ResampleCounts(Allocation._trusted(counts, n))
+    return Allocation._trusted(counts, n)
 
 
 def sampling_variance(c, w):
@@ -239,16 +223,15 @@ def sampling_variance(c, w):
     """
     if isinstance(c, np.ndarray) and c.ndim == 2:
         if c.shape != np.shape(w):
-            raise ValidationError(f"shape mismatch: {c.shape} counts vs "
-                                  f"{np.shape(w)} weights")
+            raise ValidationError(f"shape mismatch: {c.shape} counts vs {np.shape(w)} weights")
         d = c - c.sum(axis=1, keepdims=True) * w
         return np.mean(d * d, axis=1)
-    return mse(_allocation_of(c), w)
+    return mse(c, w)
 
 
 def counts_to_indices(c) -> np.ndarray:
     """Expand counts, in any form sampling_variance takes, into sorted indices."""
-    sizes = _allocation_of(c).sizes
+    sizes = as_allocation(c).sizes
     return np.repeat(np.arange(sizes.size), sizes)
 
 

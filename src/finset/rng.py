@@ -21,6 +21,7 @@ j < 2**15, built at import, so no draw rebuilds them.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -150,6 +151,15 @@ def _integer(name: str, value, low=None) -> int:
     return whole
 
 
+def _finite(name: str, value, positive=False) -> None:
+    """Refuse a value that is not a finite real number, or not positive if asked."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if not (0 < value < math.inf if positive else math.isfinite(value)):
+        kind = "finite and positive" if positive else "finite"
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+
+
 def _check_distinct(rngs) -> None:
     """Refuse a stream listed twice: its rows would be one draw, not two."""
     first = {}
@@ -193,9 +203,8 @@ def gammas(rng, shape: float, scale: float, size: int) -> np.ndarray:
     rng is one stream, or a sequence of R streams for an (R, size) array
     whose row r is ``gammas(rng[r], shape, scale, size)``.
     """
-    if not (0 < shape < math.inf and 0 < scale < math.inf):
-        raise ValidationError(f"shape and scale must be finite and positive, "
-                              f"got {shape!r} and {scale!r}")
+    _finite("shape", shape, positive=True)
+    _finite("scale", scale, positive=True)
     size = _check_size(size)
     if float(shape).is_integer():
         # sum of `shape` exponentials, fully vectorized

@@ -1,0 +1,92 @@
+"""Every input the type layer accepts must either work or raise ValidationError.
+
+One table: each row is a public constructor or function called with one bad
+input. It must raise exactly ValidationError, not a TypeError, a bare
+ValueError or a NumPy cast, with a message naming what was wrong, and warn
+nothing on the way.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from finset import (
+    RESAMPLERS,
+    Allocation,
+    BenchmarkConfig,
+    ModelParams,
+    ParticleSet,
+    ResidualVector,
+    RngStream,
+    ValidationError,
+    WeightVector,
+    gammas,
+    lmse_partition,
+    sir_step,
+)
+
+HALF = [0.5, 0.5]
+NOT_REAL = {  # each used to be parsed, cast, or refused with a TypeError
+    "str": ["0.5", "0.5"],
+    "bytes": [b"0.5", b"0.5"],
+    "timedelta64": np.array([1, 1], dtype="m8[s]"),
+    "letter": ["a", "a"],
+    "complex": [0.5 + 0j, 0.5],
+    "complex array": np.array([0.5 + 1j, 0.5]),
+    "str object": np.array(["0.5", 0.5], dtype=object),
+    "dict": {"a": 1},
+    "ragged": [[0.5], [0.25, 0.25]],
+}
+
+
+def _sir(**kwargs):
+    args = dict(y_obs=0.5, t=3, method="systematic", rng=RngStream(0)) | kwargs
+    return sir_step(ParticleSet([0.0, 1.0], HALF), **args)
+
+
+CASES = [
+    *[(f"WeightVector {k}", lambda v=v: WeightVector(v), "weights must be real numbers")
+      for k, v in NOT_REAL.items()],
+    *[(f"ParticleSet states {k}", lambda v=v: ParticleSet(v, HALF),
+       "states must be real numbers") for k, v in NOT_REAL.items()],
+    ("ParticleSet weights str", lambda: ParticleSet([0.0, 1.0], ["0.5", "0.5"]),
+     "weights must be real numbers"),
+    ("lmse_partition complex", lambda: lmse_partition(np.array([0.5 + 1j, 0.5]), 4),
+     "weights must be real numbers"),
+    *[(f"{name} str weights", lambda f=f: f(["0.5", "0.5"], 4, RngStream(0)),
+       "weights must be real numbers") for name, f in RESAMPLERS.items()],
+    ("ResidualVector str", lambda: ResidualVector(["0.1", "0.2"]),
+     "residuals must be real numbers"),
+    ("gammas str shape", lambda: gammas(RngStream(0), "3", 2.0, 1),
+     "shape must be a real number, got '3'"),
+    ("WeightVector int past float range", lambda: WeightVector([10**400, 1]),
+     "weights must be real numbers within the float range"),
+    ("Allocation str object", lambda: Allocation(np.array(["1", 2], dtype=object)),
+     "sizes must be a non-empty 1-d sequence of integers"),
+    ("Allocation str total", lambda: Allocation([1, 2], total="3"),
+     "sizes sum to 3, declared total is '3'"),
+    ("ModelParams omega str", lambda: ModelParams(omega="x"),
+     "omega must be a real number, got 'x'"),
+    ("ModelParams gamma_shape str", lambda: ModelParams(gamma_shape="3"),
+     "gamma_shape must be a real number, got '3'"),
+    ("BenchmarkConfig unhashable method", lambda: BenchmarkConfig(methods=[["msv"]]),
+     r"methods\[0\] must name a resampling method, got \['msv'\]"),
+    ("BenchmarkConfig list baseline", lambda: BenchmarkConfig(baseline_method=["msv"]),
+     r"baseline_method must name a resampling method, got \['msv'\]"),
+    ("BenchmarkConfig int methods", lambda: BenchmarkConfig(methods=5),
+     r"methods must be a sequence of method names, not a int \(5\)"),
+    ("sir_step list method", lambda: _sir(method=["x"]),
+     r"method must name a resampling method, got \['x'\]"),
+    ("sir_step str y_obs", lambda: _sir(y_obs="1"), "y_obs must be a real number, got '1'"),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_bad_input_raises_validation_error_and_warns_nothing(call, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError, match=message) as info:
+            call()
+    assert type(info.value) is ValidationError
+    assert caught == []

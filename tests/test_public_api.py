@@ -9,9 +9,9 @@ PUBLIC = {
     "brute_force_partition", "check_local_optimality", "check_theory1_bound",
     "lmse_partition", "mae", "mse", "residuals",
     # resampling
-    "RESAMPLERS", "ParticleSet", "ResampleCounts", "counts_to_indices",
-    "msv_resample", "multinomial_resample", "residual_resample", "rsr_resample",
-    "sampling_variance", "systematic_resample",
+    "RESAMPLERS", "ParticleSet", "counts_to_indices", "msv_resample",
+    "multinomial_resample", "residual_resample", "rsr_resample", "sampling_variance",
+    "systematic_resample",
     # rng
     "RngStream", "gammas", "normals",
     # model

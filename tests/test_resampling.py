@@ -8,12 +8,15 @@ from finset.partition import (
     WeightVector,
     _cdf,
     brute_force_partition,
+    check_local_optimality,
+    check_theory1_bound,
     lmse_partition,
+    mae,
+    mse,
 )
 from finset.resampling import (
     RESAMPLERS,
     ParticleSet,
-    ResampleCounts,
     counts_to_indices,
     msv_resample,
     multinomial_resample,
@@ -56,8 +59,7 @@ class TestParticleSet:
     lambda: Allocation([1, 2]),
     lambda: ResidualVector([0.1, 0.2]),
     lambda: ParticleSet([0.0, 1.0], [0.5, 0.5]),
-    lambda: ResampleCounts(Allocation([1, 2])),
-], ids=["WeightVector", "Allocation", "ResidualVector", "ParticleSet", "ResampleCounts"])
+], ids=["WeightVector", "Allocation", "ResidualVector", "ParticleSet"])
 def test_array_value_types_compare_by_identity(build):
     a, b = build(), build()
     assert a == a
@@ -275,13 +277,33 @@ def test_library_built_counts_are_frozen_int64():
         n = int(g.integers(1, 13))
         raw = g.random(m) ** 2 + 1e-12
         w = WeightVector(raw / raw.sum())
-        built = {name: fn(w, n, RngStream(trial)).counts for name, fn in RESAMPLERS.items()}
+        built = {name: fn(w, n, RngStream(trial)) for name, fn in RESAMPLERS.items()}
         built["lmse_partition"] = lmse_partition(w, n)
         built["brute_force_partition"] = brute_force_partition(w, n)[0]
         for name, a in built.items():
             assert type(a) is Allocation, name
             assert a.sizes.dtype == np.int64 and not a.sizes.flags.writeable, name
             assert a.sizes.shape == (m,) and a.sizes.sum() == a.total == n, name
+
+
+_RAW_50 = np.random.default_rng(26).random(50) ** 2 + 1e-12
+
+
+@pytest.mark.parametrize("name", RESAMPLERS)
+@pytest.mark.parametrize("w, n", [([0.5, 0.5], 4), (_RAW_50 / _RAW_50.sum(), 173)],
+                         ids=["half-half", "M=50"])
+def test_scheme_output_goes_to_every_consumer(name, w, n):
+    # mse(msv_resample(w, 4), w) used to raise "sizes must be integers" on
+    # the scheme's own counts, while sampling_variance took them
+    out = RESAMPLERS[name](pset(w), n, RngStream(9))
+    assert type(out) is Allocation
+    assert mse(out, w) == sampling_variance(out, w)
+    assert mae(out, w) >= 0.0
+    assert check_theory1_bound(out, w) in (True, False)
+    assert check_local_optimality(out, w) in (True, False)
+    assert counts_to_indices(out).tolist() == np.repeat(np.arange(len(w)), out.sizes).tolist()
+    if name == "msv":
+        assert check_theory1_bound(out, w) and check_local_optimality(out, w)
 
 
 def test_floor_bracket_for_deterministic_schemes():
