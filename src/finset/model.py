@@ -15,11 +15,15 @@ bit-identical inputs at every step.
 All runs step together as the rows of (runs, particles) arrays: one draw
 per step serves every run's stream, and the truth, the propagation, the
 reweighting, the sampling variances and the baseline gather are array ops
-over all runs. Each run keeps its own streams, so every value is the one a
-run stepped alone would give. The schemes are still called once per run,
-step and scheme through ``RESAMPLERS``, each with that run's stream and
-population: the registry is the extension point, and a replaced entry sees
-every call with one run's weights, as ``sir_step`` gives it.
+over all runs. So is what the schemes compute from the weights alone: each
+step builds the rows' CDFs, floors, residuals, surpluses and residual CDFs
+once, and each run's population carries views of its own rows
+(``WeightVector._rows``). Each run keeps its own streams, so every value is
+the one a run stepped alone would give. The schemes are still called once
+per run, step and scheme through ``RESAMPLERS``, each with that run's stream
+and population, and each call only draws and counts: the registry is the
+extension point, and a replaced entry sees every call with one run's
+weights, as ``sir_step`` gives it.
 ``run_benchmark`` returns the outputs as (runs, steps) columns, not records.
 """
 
@@ -37,7 +41,7 @@ from .resampling import (
     counts_to_indices,
     sampling_variance,
 )
-from .rng import RngStream, _finite, _integer, gammas, normals
+from .rng import RngStream, _check_streams, _check_type, _finite, _integer, gammas, normals
 
 METHODS = tuple(RESAMPLERS)
 
@@ -177,10 +181,6 @@ def _propagate_and_weigh(states, prior_weights, y_obs, t, rngs, params):
     return states, w, stored, estimates, live
 
 
-def _population(states, stored) -> ParticleSet:
-    return ParticleSet._trusted(states, WeightVector._trusted(stored))
-
-
 def _resample_rows(method, psets, n, rngs) -> np.ndarray:
     """One RESAMPLERS call per population, with its own stream: (R, M) counts."""
     return np.array([RESAMPLERS[method](p, n, g).sizes for p, g in zip(psets, rngs)])
@@ -193,6 +193,9 @@ def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
     Returns (new equally weighted ParticleSet, weighted-mean estimate before
     resampling, sampling variance of the resample counts).
     """
+    _check_type("p", p, ParticleSet)
+    _check_type("rng", rng, RngStream)
+    _check_type("params", params, ModelParams)
     _check_method("method", method)
     n_out = len(p) if num_out is None else _check_n(num_out)
     # a nan or infinite y_obs, or a nan t, would surface as a particle collapse
@@ -203,7 +206,7 @@ def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
         [rng], params)
     if not live:
         raise _collapse(t)
-    pset = _population(states[0], stored[0])
+    pset = ParticleSet._trusted(states[0], WeightVector._rows(stored, n_out)[0])
     counts = RESAMPLERS[method](pset, n_out, rng)
     sv = sampling_variance(counts, pset.weights)
     new_states = pset.states[counts_to_indices(counts)]
@@ -220,6 +223,7 @@ def simulate_truth(num_steps, rng, params: ModelParams = ModelParams()):
     """
     num_steps = _integer("num_steps", num_steps, 1)
     rows = [rng] if isinstance(rng, RngStream) else rng
+    _check_streams(rows)
     xs = np.empty((len(rows), num_steps))
     ys = np.empty((len(rows), num_steps))
     x = np.zeros(len(rows))
@@ -239,6 +243,8 @@ def run_benchmark(config: BenchmarkConfig,
     A collapse raises ParticleCollapseError naming the lowest run that
     collapses and its first collapse step, as running the runs in turn would.
     """
+    _check_type("config", config, BenchmarkConfig)
+    _check_type("params", params, ModelParams)
     npart, steps, runs = config.num_particles, config.num_steps, config.num_mc_runs
     root = RngStream(config.seed)
     run_rngs = [root.spawn(run) for run in range(runs)]
@@ -263,7 +269,8 @@ def run_benchmark(config: BenchmarkConfig,
             filter_rngs, baseline_rngs = filter_rngs[:live], baseline_rngs[:live]
             method_rngs = {m: rngs[:live] for m, rngs in method_rngs.items()}
         estimates[:live, t - 1] = est
-        psets = [_population(s, w) for s, w in zip(states, stored)]
+        rows = WeightVector._rows(stored, npart)
+        psets = [ParticleSet._trusted(s, w) for s, w in zip(states, rows)]
         for m, rngs in method_rngs.items():
             svs[m][:live, t - 1] = sampling_variance(
                 _resample_rows(m, psets, npart, rngs), stored)

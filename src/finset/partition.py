@@ -86,12 +86,38 @@ class WeightVector:
         arr.flags.writeable = False
         object.__setattr__(self, "weights", arr)
 
+    # (n, (floors, residuals, surplus, residual CDF or None)) on the rows of
+    # ``_rows``, read by lmse_partition and residual_resample at that n; no n is 0
+    _split = (0, None)
+
     @classmethod
-    def _trusted(cls, weights: np.ndarray) -> WeightVector:
-        """Wrap read-only weights the library normalised as __init__ would; no checks."""
-        wv = object.__new__(cls)
-        object.__setattr__(wv, "weights", weights)
-        return wv
+    def _rows(cls, weights: np.ndarray, n: int) -> list[WeightVector]:
+        """Wrap read-only (R, M) weight rows normalised as __init__ would; no
+        checks. Their CDFs and splits at n are computed for all rows at once,
+        each as that row alone would give it."""
+        cdf = _cdf(weights.cumsum(axis=1))
+        floors, res = _floors_and_residuals(weights, n)
+        surplus = n - floors.sum(axis=1)
+        for r in (surplus.argmin(), surplus.argmax()):  # any row out of range is one of these
+            _surplus(n, floors[r])
+        # Rows with no surplus draw nothing, and their residuals may all be 0.
+        # res[live] is a copy: the residuals msv reads stay as they are.
+        live = np.flatnonzero(surplus)
+        rcdf = _residual_cdf(res[live])
+        for a in (cdf, floors, res, rcdf):
+            a.flags.writeable = False
+        rcdf_of = dict(zip(live.tolist(), rcdf))
+        rows = []
+        for r, (w, c, f, x, s) in enumerate(zip(weights, cdf, floors, res, surplus.tolist())):
+            wv = object.__new__(cls)
+            vars(wv).update(weights=w, cdf=c, _split=(n, (f, x, s, rcdf_of.get(r))))
+            rows.append(wv)
+        return rows
+
+    def _split_at(self, n: int) -> tuple | None:
+        """(floors, residuals, surplus, residual CDF) cached for n, else None."""
+        at, split = self._split
+        return split if at == n else None
 
     def __len__(self):
         return self.weights.size
@@ -105,17 +131,33 @@ class WeightVector:
 
 
 def _cdf(running: np.ndarray) -> np.ndarray:
-    """Turn running sums of nonnegative mass into a CDF, in place.
+    """Turn running sums of nonnegative mass, or (R, M) rows of them, into CDFs, in place.
 
     Running sums of weights that add to 1 within rounding can pass 1 before
     the last entry, or end a few ulps short of 1. Every entry at or above the
     smaller of 1 and the last one is set to 1: the CDF is then nondecreasing
     within [0, 1], which both count kernels rely on, and ends at 1 without
     handing a shortfall to trailing zero-mass bins. Adding a nonnegative float
-    never lowers a float sum, so those entries are a suffix, found by one search.
+    never lowers a float sum, so those entries are a suffix: one search finds
+    it in one row, and a compare against each row's bound marks it in many.
     """
-    running[running.searchsorted(min(running[-1], 1.0)):] = 1.0
+    if running.ndim == 1:
+        running[running.searchsorted(min(running[-1], 1.0)):] = 1.0
+    else:
+        running[running >= np.minimum(running[:, -1:], 1.0)] = 1.0
     return running
+
+
+def _residual_cdf(res: np.ndarray) -> np.ndarray:
+    """The CDF of residuals as mass, or of (R, M) rows of them; res is overwritten.
+
+    Each row must hold positive residual mass. n*w that rounds up onto an
+    integer leaves a residual an ulp below 0; as mass it is 0, and the
+    running sums must not fall. Divided by the last of them they are a CDF:
+    nondecreasing, within [0, 1], ending at 1.
+    """
+    cum = np.cumsum(np.maximum(res, 0.0, out=res), axis=-1)
+    return np.divide(cum, cum[..., -1:], out=cum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +271,12 @@ def lmse_partition(w, n) -> Allocation:
     """
     wv = as_weights(w)
     n = _check_n(n)
-    sizes, res = _floors_and_residuals(wv.weights, n)
-    surplus = _surplus(n, sizes)
+    if (split := wv._split_at(n)) is not None:
+        floors, res, surplus, _ = split
+        sizes = floors.copy()
+    else:
+        sizes, res = _floors_and_residuals(wv.weights, n)
+        surplus = _surplus(n, sizes)
     if surplus > 0:
         kth = res.size - surplus
         cut = np.partition(res, kth)[kth]

@@ -20,12 +20,16 @@ counts summing to n), which every metric takes as it is:
 Every CDF is nondecreasing within [0, 1] and ends at exactly 1. Multinomial,
 systematic and rsr only read the CDF that a ``WeightVector`` builds once and
 caches (``WeightVector.cdf``), so a population passed to several schemes sums
-its weights once. The two draw-based schemes count the draws below each CDF
-value, never searching per draw: small calls sort the draws and search them
-once per CDF value; large, balanced ones (``_merged_readout``) sort exact
-integer keys of both at once. The two readouts give the same counts.
+its weights once. The SIR benchmark's populations also carry their floors,
+residuals, surplus and residual CDF at its n, built once per step for all
+runs, which residual and msv read at that n. The two draw-based schemes
+count the draws below each CDF value, never searching per draw: small calls
+sort the draws and search them once per CDF value; large, balanced ones
+(``_merged_readout``) sort exact integer keys of both at once. The two
+readouts give the same counts.
 Systematic and rsr share one closed-form kernel, cumulative counts
-ceil(n*cdf - u), which gives M counts summing to n for every offset.
+ceil(n*cdf - u), which gives M counts summing to n for every offset,
+differenced block by block. The schemes that draw require an ``RngStream``.
 
 Sampling variance is the mean squared discrepancy between counts and their
 real-valued expectations n*w, identical to the partition MSE metric.
@@ -47,11 +51,12 @@ from .partition import (
     _check_n,
     _floors_and_residuals,
     _real_array,
+    _residual_cdf,
     _surplus,
     lmse_partition,
     mse,
 )
-from .rng import _BLOCK, RngStream
+from .rng import _BLOCK, RngStream, _check_type
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +161,7 @@ def multinomial_resample(p, n, rng: RngStream) -> Allocation:
     """n independent draws from the weight distribution via inverse CDF."""
     cdf = _weights_of(p).cdf  # a copy made from raw weights is freed here
     n = _check_n(n)
+    _check_type("rng", rng, RngStream)
     cum = _draw_cum(cdf, rng, n)
     # counts are allocated after the readout, so they never coexist with the
     # draws, their keys or the stream's temporaries
@@ -167,26 +173,43 @@ def systematic_resample(p, n, rng: RngStream) -> Allocation:
     """One uniform offset, n evenly spaced grid points through the CDF."""
     cdf = _weights_of(p).cdf  # as in multinomial_resample
     n = _check_n(n)
+    _check_type("rng", rng, RngStream)
     return _systematic_counts(cdf, n, rng.next_uniform())
 
 
 def _systematic_counts(cdf: np.ndarray, n: int, u: float) -> Allocation:
     # Grid point (u + i)/n lies below cdf[m] for i < n*cdf[m] - u, so the
     # cumulative counts are ceil(n*cdf - u), within [0, n] for cdf in [0, 1]
-    # and u in [0, 1): whole floats, whose differences are exact.
-    # When u is within an ulp of 1, n - u rounds down to n - 1; where cdf is
-    # 1 the count is then n, which keeps the total exact and gives trailing
-    # zero-weight particles no copy
-    top = cdf == 1.0 if math.ceil(n - u) < n else None
-    cum = np.multiply(cdf, n)
+    # and u in [0, 1): whole floats, whose differences are exact. Built one
+    # block at a time, they need no M-sized buffer beside the counts.
+    top = math.ceil(n - u) < n
+    counts = np.empty(cdf.size, dtype=np.int64)
+    if cdf.size <= _BLOCK:
+        _block_counts(cdf, n, u, top, np.empty(cdf.size), counts, 0.0)
+    else:
+        cum, before = np.empty(_BLOCK), 0.0
+        for b in range(0, cdf.size, _BLOCK):
+            c = cdf[b:b + _BLOCK]
+            before = _block_counts(c, n, u, top, cum[:c.size], counts[b:b + c.size], before)
+    return Allocation._trusted(counts, n)
+
+
+def _block_counts(cdf, n, u, top, cum, counts, before) -> float:
+    """Write one CDF block's counts, its cumulative counts continuing from
+    before, into counts (cum is scratch); return its last cumulative count.
+
+    When u is within an ulp of 1, n - u rounds down to n - 1 (top); where cdf
+    is 1 the count is then n, which keeps the total exact and gives trailing
+    zero-weight particles no copy.
+    """
+    np.multiply(cdf, n, out=cum)
     cum -= u
     np.ceil(cum, out=cum)
-    if top is not None:
-        cum[top] = n
-    counts = np.empty(cum.size, dtype=np.int64)
-    counts[0] = cum[0]
+    if top:
+        cum[cdf == 1.0] = n
+    counts[0] = cum[0] - before
     np.subtract(cum[1:], cum[:-1], out=counts[1:], casting="unsafe")
-    return Allocation._trusted(counts, n)
+    return cum[-1]
 
 
 # The RSR carry recursion counts[m] = Floor((w[m] - u_m)*n) + 1, with
@@ -200,16 +223,17 @@ def residual_resample(p, n, rng: RngStream) -> Allocation:
     """Deterministic floors plus multinomial draws on the residual mass."""
     wv = _weights_of(p)
     n = _check_n(n)
-    counts, res = _floors_and_residuals(wv.weights, n)
-    del wv  # as in multinomial_resample
-    remaining = _surplus(n, counts)
+    _check_type("rng", rng, RngStream)
+    if (split := wv._split_at(n)) is not None:
+        floors, _, remaining, cdf = split
+        counts = floors.copy()
+    else:
+        counts, res = _floors_and_residuals(wv.weights, n)
+        del wv  # as in multinomial_resample
+        remaining = _surplus(n, counts)
+        cdf = _residual_cdf(res) if remaining > 0 else None
+        del res  # freed before the draws: only the residual CDF is needed
     if remaining > 0:
-        # n*w that rounds up onto an integer leaves a residual an ulp below 0;
-        # as mass it is 0, and the running sums must not fall. Divided by the
-        # last of them they are a CDF: nondecreasing, within [0, 1], ending at 1.
-        cum = np.cumsum(np.maximum(res, 0.0, out=res))
-        del res  # freed before the draws: only the running sums are needed
-        cdf = np.divide(cum, cum[-1], out=cum)
         _add_counts(counts, _draw_cum(cdf, rng, remaining))
     return Allocation._trusted(counts, n)
 

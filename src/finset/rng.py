@@ -99,7 +99,7 @@ def uniform_rows(rngs, k: int) -> np.ndarray:
     Row r is what ``rngs[r].next_uniforms(k)`` would return, and every
     stream advances by k.
     """
-    _check_distinct(rngs)
+    _check_streams(rngs)
     k = _check_size(k)
     start = np.array([(g.seed + (g._count + 1) * _GOLDEN) & _MASK for g in rngs],
                      dtype=np.uint64)[:, None]
@@ -160,10 +160,26 @@ def _finite(name: str, value, positive=False) -> None:
         raise ValidationError(f"{name} must be {kind}, got {value!r}")
 
 
-def _check_distinct(rngs) -> None:
-    """Refuse a stream listed twice: its rows would be one draw, not two."""
+def _check_type(name: str, value, cls) -> None:
+    """Refuse a value that is not an instance of cls, naming the argument."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be an instance of {cls.__name__}, "
+                              f"not {type(value).__name__}")
+
+
+def _check_streams(rngs) -> None:
+    """Refuse anything but a sequence of distinct streams: a stream listed
+    twice would give its rows one draw, not two."""
+    try:
+        streams = enumerate(rngs)
+    except TypeError:  # not iterable
+        raise ValidationError(f"rng must be an RngStream or a sequence of them, "
+                              f"not {type(rngs).__name__}") from None
     first = {}
-    for i, g in enumerate(rngs):
+    for i, g in streams:
+        if not isinstance(g, RngStream):
+            raise ValidationError(f"rng[{i}] must be an instance of RngStream, "
+                                  f"not {type(g).__name__}")
         if first.setdefault(id(g), i) != i:
             raise ValidationError(f"stream at index {i} repeats the stream at index "
                                   f"{first[id(g)]}; each row needs its own stream")
@@ -214,7 +230,7 @@ def gammas(rng, shape: float, scale: float, size: int) -> np.ndarray:
         return -scale * np.log1p(-u).sum(axis=-2)
     if not isinstance(rng, RngStream):
         # Marsaglia-Tsang draws a varying number of uniforms: stream by stream
-        _check_distinct(rng)
+        _check_streams(rng)
         return np.array([gammas(g, shape, scale, size) for g in rng]).reshape(len(rng), size)
     return np.array([_gamma_one(rng, float(shape)) * scale for _ in range(size)])
 

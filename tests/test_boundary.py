@@ -23,6 +23,9 @@ from finset import (
     WeightVector,
     gammas,
     lmse_partition,
+    normals,
+    run_benchmark,
+    simulate_truth,
     sir_step,
 )
 
@@ -79,6 +82,27 @@ CASES = [
     ("sir_step list method", lambda: _sir(method=["x"]),
      r"method must name a resampling method, got \['x'\]"),
     ("sir_step str y_obs", lambda: _sir(y_obs="1"), "y_obs must be a real number, got '1'"),
+    # arguments that used to fail on a missing attribute or a len()
+    *[(f"{name} None rng", lambda f=f: f(HALF, 4, None),
+       "rng must be an instance of RngStream, not NoneType")
+      for name, f in RESAMPLERS.items() if name != "msv"],  # msv draws nothing
+    ("systematic int rng", lambda: RESAMPLERS["systematic"](HALF, 4, 3),
+     "rng must be an instance of RngStream, not int"),
+    ("sir_step list p", lambda: sir_step([0.0, 1.0], 0.5, 3, "msv", RngStream(0)),
+     "p must be an instance of ParticleSet, not list"),
+    ("sir_step int rng", lambda: _sir(rng=7), "rng must be an instance of RngStream, not int"),
+    ("sir_step str params", lambda: _sir(params="x"),
+     "params must be an instance of ModelParams, not str"),
+    ("run_benchmark None config", lambda: run_benchmark(None),
+     "config must be an instance of BenchmarkConfig, not NoneType"),
+    ("run_benchmark str params", lambda: run_benchmark(BenchmarkConfig(), params="x"),
+     "params must be an instance of ModelParams, not str"),
+    ("normals None rng", lambda: normals(None, 2),
+     "rng must be an RngStream or a sequence of them, not NoneType"),
+    ("normals int in streams", lambda: normals([RngStream(0), 5], 2),
+     r"rng\[1\] must be an instance of RngStream, not int"),
+    ("simulate_truth None rng", lambda: simulate_truth(3, None),
+     "rng must be an RngStream or a sequence of them, not NoneType"),
 ]
 
 

@@ -363,13 +363,15 @@ class TestBatchedRuns:
             run_benchmark(cfg, ModelParams(obs_noise_std=std))
         assert str(exc.value) == message
 
-    def test_one_cdf_build_per_run_and_step(self, monkeypatch):
-        # multinomial, systematic, rsr and the systematic baseline share it
+    def test_one_cdf_build_per_step(self, monkeypatch):
+        # one (runs, particles) build serves multinomial, systematic, rsr and
+        # the systematic baseline of every run
         builds = []
         cdf = partition._cdf
-        monkeypatch.setattr(partition, "_cdf", lambda running: builds.append(1) or cdf(running))
+        monkeypatch.setattr(partition, "_cdf",
+                            lambda running: builds.append(running.shape) or cdf(running))
         run_benchmark(BenchmarkConfig(num_particles=6, num_steps=3, num_mc_runs=4, seed=2))
-        assert len(builds) == 4 * 3
+        assert builds == [(4, 6)] * 3
 
     def test_registry_called_once_per_run_step_and_scheme(self, monkeypatch):
         calls = []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ from finset.partition import (
     ValidationError,
     WeightVector,
     _cdf,
+    _floors_and_residuals,
+    _residual_cdf,
+    _surplus,
     brute_force_partition,
     check_local_optimality,
     check_theory1_bound,
@@ -30,7 +35,7 @@ from finset.resampling import (
     _systematic_counts,
 )
 from finset import resampling
-from finset.rng import RngStream
+from finset.rng import _BLOCK, RngStream
 
 
 def pset(weights):
@@ -123,12 +128,12 @@ class TestMultinomial:
     def test_largest_uniform_skips_trailing_zero_weight(self):
         # the running sums of these weights end at 1 - 2**-53, the largest
         # uniform RngStream emits
-        class TopStream:
+        class TopStream(RngStream):
             def next_uniforms(self, k):
                 return np.full(k, 1 - 2**-53)
 
         w = WeightVector([0.1] * 10 + [0.0])
-        counts = multinomial_resample(w, 3, TopStream()).sizes
+        counts = multinomial_resample(w, 3, TopStream(0)).sizes
         assert list(counts) == [0] * 9 + [3, 0]
 
 
@@ -493,6 +498,120 @@ def test_one_weight_vector_serves_every_scheme(m):
     assert np.array_equal(w.cdf, _cdf(np.cumsum(weights)))
 
 
+def fuzz_rows(g, m, n):
+    """(R, M) weight rows as WeightVector stores them: every row kind the
+    per-row computations treat specially, plus random ones."""
+    heavy = next(r for r in g.lognormal(0.0, 10.0, (1000, m))
+                 if np.cumsum(r / r.sum())[:-1].max() > 1.0)  # passes 1 early
+    tail = g.random(m)
+    tail[m // 2:] = 0.0
+    dyadic = np.zeros(m)  # n*w whole for every entry when n is a multiple of 4
+    dyadic[[0, -1]] = 0.25
+    dyadic[m // 2] += 0.5
+    rows = [heavy, tail, np.ones(m), dyadic, *g.lognormal(0.0, 2.0, (4, m)),
+            *(g.integers(0, 3, (2, m)) + (np.arange(m) == 1))]
+    return np.array([r / r.sum() for r in rows])
+
+
+def parent_residual_cdf(res):
+    """The residual CDF as residual_resample built it for one row."""
+    cum = np.cumsum(np.maximum(res, 0.0))
+    return cum / cum[-1]
+
+
+@pytest.mark.parametrize("m, n", [(10, 10), (10, 4), (7, 36), (100, 100), (1000, 2500)])
+def test_weight_rows_equal_one_row_each(m, n):
+    g = np.random.default_rng(m * n)
+    stored = fuzz_rows(g, m, n)
+    stored.flags.writeable = False
+    rows = WeightVector._rows(stored, n)
+    same = lambda a, b: a.dtype == b.dtype and a.tobytes() == b.tobytes()  # noqa: E731
+    surpluses = []
+    for w, wv in zip(stored, rows):
+        assert wv.weights is not w and same(wv.weights, w)
+        assert same(wv.cdf, _cdf(np.cumsum(w)))  # the one-row search
+        floors, res = _floors_and_residuals(w, n)
+        assert wv._split_at(n + 1) is None
+        row_floors, row_res, surplus, rcdf = wv._split_at(n)
+        assert same(row_floors, floors) and same(row_res, res)
+        assert surplus == _surplus(n, floors) and type(surplus) is int
+        if surplus:
+            assert same(rcdf, parent_residual_cdf(res))
+            assert same(rcdf, _residual_cdf(res.copy()))
+        else:
+            assert rcdf is None
+        for a in (wv.cdf, row_floors, row_res, rcdf):
+            assert a is None or not a.flags.writeable
+        surpluses.append(surplus)
+    cums = np.cumsum(stored, axis=1)
+    if m == 10:  # ten equal weights sum to an ulp short of 1
+        assert cums[2, -1] < 1.0
+    assert cums[0, :-1].max() > 1.0
+    assert 0 in surpluses or n % 4, surpluses  # the dyadic row has no surplus
+    assert max(surpluses) > 0
+
+
+def test_weight_rows_reject_floors_past_float_precision():
+    w = np.array([[0.5, 0.5], [0.18092580658734178, 0.8190741934126583]])
+    with pytest.raises(ValidationError, match="float precision"):
+        WeightVector._rows(w, 9007199254447305)
+
+
+@pytest.mark.parametrize("m, n", [(10, 10), (7, 36), (100, 100)])
+def test_schemes_on_weight_rows_match_reference(m, n):
+    # at the rows' own n the schemes read the cached arrays; at another n, and
+    # on a caller's WeightVector of the same weights, they compute them
+    stored = fuzz_rows(np.random.default_rng(m + n), m, n)
+    stored.flags.writeable = False
+    rows = WeightVector._rows(stored, n)
+    for r, (w, wv) in enumerate(zip(stored, rows)):
+        for k in (n, n + 3, max(1, n // 3)):
+            for name, fn in RESAMPLERS.items():
+                for held in (wv, WeightVector(w)):
+                    rng, ref_rng = RngStream(r), RngStream(r)
+                    got = fn(held, k, rng).sizes
+                    assert np.array_equal(got, REFERENCE[name](w, k, ref_rng)), (name, r, k)
+                    assert rng.draws == ref_rng.draws, (name, r, k)
+        assert wv._split[0] == n and not wv._split_at(n)[0].flags.writeable
+
+
+@pytest.mark.parametrize("m", [_BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("u", [0.0, 0.3, 1 - 2**-53])
+def test_blocked_systematic_counts_match_one_pass(m, u):
+    # zero weights from inside the second-to-last block on: with u near 1 the
+    # counts of the bins whose CDF is 1 must be 0 in every block
+    raw = np.random.default_rng(m).lognormal(0.0, 1.0, m)
+    raw[m - _BLOCK // 2 - 7:] = 0.0
+    cdf = WeightVector(raw / raw.sum()).cdf
+    for n in (m, 3 * m + 1, 17):
+        cum = np.ceil(cdf * n - u)
+        if np.ceil(n - u) < n:
+            cum[cdf == 1.0] = n
+        want = np.diff(cum, prepend=0.0).astype(np.int64)
+        got = _systematic_counts(cdf, n, u).sizes
+        assert np.array_equal(got, want), n
+        assert got.sum() == n and np.all(got[raw == 0] == 0)
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["raw array", "caller WeightVector"])
+def test_systematic_holds_the_counts_and_one_block(held):
+    # M = n = 1e6: the CDF (built inside the call) and the counts, plus one
+    # block of cumulative counts: 15.6 MiB, where a full cumulative-count
+    # array made it 22.95 MiB
+    m = 10**6
+    raw = np.random.default_rng(7).lognormal(0.0, 1.0, m)
+    raw /= raw.sum()
+    p = WeightVector(raw) if held else raw
+    tracemalloc.start()
+    try:
+        counts = systematic_resample(p, m, RngStream(5)).sizes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == m
+    assert peak < 2 * 8 * m + 16 * _BLOCK + 2**20
+
+
 class FixedStream:
     """Hands out given uniforms, which must lie on RngStream's 2**-53 grid."""
 
@@ -575,13 +694,13 @@ def test_rule_covers_only_measured_sizes():
 
 def test_largest_uniform_skips_trailing_zero_weight_on_merged_readout():
     # as TestMultinomial's stub, at a size that takes the merged readout
-    class TopStream:
+    class TopStream(RngStream):
         def next_uniforms(self, k):
             return np.full(k, 1 - 2**-53)
 
     w = WeightVector([1 / 5000] * 5000 + [0.0])
     assert _merged_readout(len(w), 5000)
-    counts = multinomial_resample(w, 5000, TopStream()).sizes
+    counts = multinomial_resample(w, 5000, TopStream(0)).sizes
     cdf = _cdf(np.cumsum(w.weights))
     want = np.diff(search_cum(cdf, np.full(5000, 1 - 2**-53)), prepend=0)
     assert np.array_equal(counts, want)
