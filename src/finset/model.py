@@ -9,22 +9,16 @@ The benchmark runs one shared SIR filter per Monte Carlo run and, at every
 step, applies each configured resampling scheme to the identical
 pre-resampling weighted population, recording the sampling variance each
 scheme attains. A designated baseline scheme (systematic by default)
-advances the shared population, so the comparison is fair: every scheme sees
-bit-identical inputs at every step.
+advances the shared population, so every scheme sees bit-identical inputs.
 
-All runs step together as the rows of (runs, particles) arrays: one draw
-per step serves every run's stream, and the truth, the propagation, the
-reweighting, the sampling variances and the baseline gather are array ops
-over all runs. So is what the schemes compute from the weights alone: each
-step builds the rows' CDFs, floors, residuals, surpluses and residual CDFs
-once, and each run's population carries views of its own rows
-(``WeightVector._rows``). Each run keeps its own streams, so every value is
-the one a run stepped alone would give. The schemes are still called once
-per run, step and scheme through ``RESAMPLERS``, each with that run's stream
-and population, and each call only draws and counts: the registry is the
-extension point, and a replaced entry sees every call with one run's
-weights, as ``sir_step`` gives it.
-``run_benchmark`` returns the outputs as (runs, steps) columns, not records.
+All runs step together as the rows of (runs, particles) arrays, each run
+with its own streams, so every value is the one a run stepped alone would
+give. Each step builds the rows' CDFs, floors, residuals and residual CDFs
+once (``WeightVector._rows``), and each scheme's row kernel resamples every
+run in one call. ``RESAMPLERS`` is the extension point: an entry replaced by
+another function is called once per run, with that run's population and
+stream, as ``sir_step`` calls it. ``run_benchmark`` returns (runs, steps)
+columns, not records.
 """
 
 from __future__ import annotations
@@ -35,12 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import Allocation, ValidationError, WeightVector, _check_n
-from .resampling import (
-    RESAMPLERS,
-    ParticleSet,
-    counts_to_indices,
-    sampling_variance,
-)
+from .resampling import (_ROW_KERNELS, RESAMPLERS, ParticleSet, counts_to_indices,
+                         sampling_variance)
 from .rng import RngStream, _check_streams, _check_type, _finite, _integer, gammas, normals
 
 METHODS = tuple(RESAMPLERS)
@@ -181,9 +171,16 @@ def _propagate_and_weigh(states, prior_weights, y_obs, t, rngs, params):
     return states, w, stored, estimates, live
 
 
-def _resample_rows(method, psets, n, rngs) -> np.ndarray:
-    """One RESAMPLERS call per population, with its own stream: (R, M) counts."""
-    return np.array([RESAMPLERS[method](p, n, g).sizes for p, g in zip(psets, rngs)])
+def _resample_rows(method, rows: WeightVector, states, n, rngs) -> np.ndarray:
+    """(R, M) counts of ``RESAMPLERS[method]`` on R rows, row r with rngs[r]: one
+    call of its row kernel, or, for an entry replaced by another function, one
+    call per row with that row's own ``ParticleSet`` and stream."""
+    fn = RESAMPLERS[method]
+    for scheme, kernel in _ROW_KERNELS.items():  # by identity: an entry need not be hashable
+        if fn is scheme:
+            return kernel(rows, n, rngs)
+    psets = map(ParticleSet._trusted, states, rows._each())
+    return np.array([fn(p, n, g).sizes for p, g in zip(psets, rngs)])
 
 
 def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
@@ -206,10 +203,9 @@ def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
         [rng], params)
     if not live:
         raise _collapse(t)
-    pset = ParticleSet._trusted(states[0], WeightVector._rows(stored, n_out)[0])
-    counts = RESAMPLERS[method](pset, n_out, rng)
-    sv = sampling_variance(counts, pset.weights)
-    new_states = pset.states[counts_to_indices(counts)]
+    counts = _resample_rows(method, WeightVector._rows(stored, n_out), states, n_out, [rng])
+    sv = float(sampling_variance(counts, stored)[0])
+    new_states = states[0][counts_to_indices(Allocation._trusted(counts[0], n_out))]
     new_set = ParticleSet(new_states, WeightVector(np.full(n_out, 1.0 / n_out)))
     return new_set, float(estimates[0]), sv
 
@@ -222,8 +218,7 @@ def simulate_truth(num_steps, rng, params: ModelParams = ModelParams()):
     Each step draws its Gamma noise, then its observation noise.
     """
     num_steps = _integer("num_steps", num_steps, 1)
-    rows = [rng] if isinstance(rng, RngStream) else rng
-    _check_streams(rows)
+    rows = _check_streams([rng] if isinstance(rng, RngStream) else rng)
     xs = np.empty((len(rows), num_steps))
     ys = np.empty((len(rows), num_steps))
     x = np.zeros(len(rows))
@@ -270,13 +265,13 @@ def run_benchmark(config: BenchmarkConfig,
             method_rngs = {m: rngs[:live] for m, rngs in method_rngs.items()}
         estimates[:live, t - 1] = est
         rows = WeightVector._rows(stored, npart)
-        psets = [ParticleSet._trusted(s, w) for s, w in zip(states, rows)]
         for m, rngs in method_rngs.items():
             svs[m][:live, t - 1] = sampling_variance(
-                _resample_rows(m, psets, npart, rngs), stored)
+                _resample_rows(m, rows, states, npart, rngs), stored)
 
         if config.resample_each_step:
-            base = _resample_rows(config.baseline_method, psets, npart, baseline_rngs).ravel()
+            base = _resample_rows(config.baseline_method, rows, states, npart,
+                                  baseline_rngs).ravel()
             gather = counts_to_indices(Allocation._trusted(base, base.size))
             states = states.ravel()[gather].reshape(live, npart)
             weights = np.full((live, npart), 1.0 / npart)

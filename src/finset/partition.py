@@ -53,7 +53,9 @@ def _real_array(values, error: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+# init=False where a class defines its own __init__: dataclass would build, and
+# compile, one more that is never used on every import
+@dataclass(frozen=True, eq=False, init=False)
 class WeightVector:
     """M nonnegative proportions summing to one.
 
@@ -86,38 +88,33 @@ class WeightVector:
         arr.flags.writeable = False
         object.__setattr__(self, "weights", arr)
 
-    # (n, (floors, residuals, surplus, residual CDF or None)) on the rows of
-    # ``_rows``, read by lmse_partition and residual_resample at that n; no n is 0
-    _split = (0, None)
+    # (floors, residuals, surpluses, residual CDFs) of a ``_rows`` vector
+    _split = None
 
     @classmethod
-    def _rows(cls, weights: np.ndarray, n: int) -> list[WeightVector]:
+    def _rows(cls, weights: np.ndarray, n: int) -> WeightVector:
         """Wrap read-only (R, M) weight rows normalised as __init__ would; no
-        checks. Their CDFs and splits at n are computed for all rows at once,
-        each as that row alone would give it."""
+        checks. Their CDFs and splits at n, which the row kernels read, are
+        computed for all rows at once, each row as it alone would give them."""
         cdf = _cdf(weights.cumsum(axis=1))
         floors, res = _floors_and_residuals(weights, n)
         surplus = n - floors.sum(axis=1)
         for r in (surplus.argmin(), surplus.argmax()):  # any row out of range is one of these
             _surplus(n, floors[r])
-        # Rows with no surplus draw nothing, and their residuals may all be 0.
-        # res[live] is a copy: the residuals msv reads stay as they are.
-        live = np.flatnonzero(surplus)
-        rcdf = _residual_cdf(res[live])
-        for a in (cdf, floors, res, rcdf):
+        rcdf = _residual_cdf(res.copy())  # a copy: the residuals msv reads stay as they are
+        for a in (cdf, floors, res, surplus, rcdf):
             a.flags.writeable = False
-        rcdf_of = dict(zip(live.tolist(), rcdf))
-        rows = []
-        for r, (w, c, f, x, s) in enumerate(zip(weights, cdf, floors, res, surplus.tolist())):
-            wv = object.__new__(cls)
-            vars(wv).update(weights=w, cdf=c, _split=(n, (f, x, s, rcdf_of.get(r))))
-            rows.append(wv)
+        rows = object.__new__(cls)
+        vars(rows).update(weights=weights, cdf=cdf, _split=(floors, res, surplus, rcdf))
         return rows
 
-    def _split_at(self, n: int) -> tuple | None:
-        """(floors, residuals, surplus, residual CDF) cached for n, else None."""
-        at, split = self._split
-        return split if at == n else None
+    def _each(self) -> list[WeightVector]:
+        """The rows of a ``_rows`` vector as vectors of their own: views of
+        their weights and CDFs, with no split."""
+        each = [object.__new__(WeightVector) for _ in self.weights]
+        for wv, w, c in zip(each, self.weights, self.cdf):
+            vars(wv).update(weights=w, cdf=c)
+        return each
 
     def __len__(self):
         return self.weights.size
@@ -151,16 +148,16 @@ def _cdf(running: np.ndarray) -> np.ndarray:
 def _residual_cdf(res: np.ndarray) -> np.ndarray:
     """The CDF of residuals as mass, or of (R, M) rows of them; res is overwritten.
 
-    Each row must hold positive residual mass. n*w that rounds up onto an
-    integer leaves a residual an ulp below 0; as mass it is 0, and the
-    running sums must not fall. Divided by the last of them they are a CDF:
-    nondecreasing, within [0, 1], ending at 1.
+    n*w that rounds up onto an integer leaves a residual an ulp below 0; as
+    mass it is 0, and the running sums must not fall. Divided by the last of
+    them they are a CDF: nondecreasing, within [0, 1], ending at 1. A row with
+    no residual mass has no surplus to draw, and stays all 0.
     """
     cum = np.cumsum(np.maximum(res, 0.0, out=res), axis=-1)
-    return np.divide(cum, cum[..., -1:], out=cum)
+    return np.divide(cum, cum[..., -1:], out=cum, where=cum[..., -1:] > 0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Allocation:
     """M nonnegative integer bin sizes summing exactly to ``total``."""
 
@@ -208,7 +205,7 @@ class Allocation:
         return self.sizes.size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ResidualVector:
     """Fractional residuals w[m] - Floor(n*w[m])/n, each in [0, 1/n)."""
 
@@ -271,12 +268,8 @@ def lmse_partition(w, n) -> Allocation:
     """
     wv = as_weights(w)
     n = _check_n(n)
-    if (split := wv._split_at(n)) is not None:
-        floors, res, surplus, _ = split
-        sizes = floors.copy()
-    else:
-        sizes, res = _floors_and_residuals(wv.weights, n)
-        surplus = _surplus(n, sizes)
+    sizes, res = _floors_and_residuals(wv.weights, n)
+    surplus = _surplus(n, sizes)
     if surplus > 0:
         kth = res.size - surplus
         cut = np.partition(res, kth)[kth]

@@ -4,32 +4,24 @@ Five schemes that all turn M weighted particles into n equally weighted
 copies. Each returns the ``Allocation`` it builds (M read-only int64 copy
 counts summing to n), which every metric takes as it is:
 
-- ``msv``: the minimum-sampling-variance scheme, i.e. the LMSE partition of
-  the weights. Purely deterministic, consumes no randomness, and provably
-  achieves the smallest sampling variance of any valid count vector.
+- ``msv``: the LMSE partition of the weights. Deterministic and draws
+  nothing; no count vector has a smaller sampling variance given the
+  weights, but as a resampler it is biased.
 - ``multinomial``: n independent inverse-CDF draws (n uniforms).
 - ``residual``: deterministic floors, remainder drawn multinomially from the
   normalized residuals (n - L uniforms).
 - ``systematic``: one uniform offset, grid (u + i)/n swept through the CDF
   (1 uniform).
-- ``rsr``: residual systematic resampling, a single-sweep recursion with a
-  fractional carry. Its counts telescope to systematic's at the same offset,
-  so ``rsr_resample`` is the systematic entry point under RSR's name
-  (1 uniform).
+- ``rsr``: residual systematic resampling, whose single-sweep carry
+  recursion telescopes to systematic's counts at the same offset, so
+  ``rsr_resample`` is the systematic entry point under RSR's name.
 
-Every CDF is nondecreasing within [0, 1] and ends at exactly 1. Multinomial,
-systematic and rsr only read the CDF that a ``WeightVector`` builds once and
-caches (``WeightVector.cdf``), so a population passed to several schemes sums
-its weights once. The SIR benchmark's populations also carry their floors,
-residuals, surplus and residual CDF at its n, built once per step for all
-runs, which residual and msv read at that n. The two draw-based schemes
-count the draws below each CDF value, never searching per draw: small calls
-sort the draws and search them once per CDF value; large, balanced ones
-(``_merged_readout``) sort exact integer keys of both at once. The two
-readouts give the same counts.
-Systematic and rsr share one closed-form kernel, cumulative counts
-ceil(n*cdf - u), which gives M counts summing to n for every offset,
-differenced block by block. The schemes that draw require an ``RngStream``.
+Each scheme has one row kernel (``_ROW_KERNELS``): the (R, M) rows of a
+``WeightVector._rows`` vector and R streams in, (R, M) int64 counts out, row
+r what the scheme gives that row with stream r alone. The public functions
+are its R = 1 case, except msv's, which selects in O(M). Multinomial and
+residual count their draws with one sort of exact integer keys per 512 rows;
+systematic differences its cumulative counts ceil(n*cdf - u) block by block.
 
 Sampling variance is the mean squared discrepancy between counts and their
 real-valued expectations n*w, identical to the partition MSE metric.
@@ -37,29 +29,17 @@ real-valued expectations n*w, identical to the partition MSE metric.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import (
-    Allocation,
-    ValidationError,
-    WeightVector,
-    as_allocation,
-    as_weights,
-    _check_n,
-    _floors_and_residuals,
-    _real_array,
-    _residual_cdf,
-    _surplus,
-    lmse_partition,
-    mse,
-)
-from .rng import _BLOCK, RngStream, _check_type
+from .partition import (Allocation, ValidationError, WeightVector, as_allocation, as_weights,
+                        _check_n, _floors_and_residuals, _real_array, _residual_cdf, _surplus,
+                        lmse_partition, mse)
+from .rng import _BLOCK, RngStream, _check_type, _uniform_runs
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)  # as WeightVector
 class ParticleSet:
     """States plus a WeightVector of matching length."""
 
@@ -84,8 +64,7 @@ class ParticleSet:
     def _trusted(cls, states: np.ndarray, weights: WeightVector) -> ParticleSet:
         """Wrap read-only 1-d states and weights of matching length; no checks."""
         p = object.__new__(cls)
-        object.__setattr__(p, "states", states)
-        object.__setattr__(p, "weights", weights)
+        vars(p).update(states=states, weights=weights)
         return p
 
     def __len__(self):
@@ -96,8 +75,7 @@ def _weights_of(p) -> WeightVector:
     return p.weights if isinstance(p, ParticleSet) else as_weights(p)
 
 
-# Only finbench's test_phantom_particle_fails_the_op_not_the_run uses this old name;
-# the benchmark revision of ROADMAP.md item 1 deletes it. Nothing else may use it.
+# An old name, for finbench's test_phantom_particle_fails_the_op_not_the_run only
 ResampleCounts = as_allocation
 
 
@@ -106,110 +84,116 @@ def msv_resample(p, n, rng: RngStream | None = None) -> Allocation:
     return lmse_partition(_weights_of(p), n)
 
 
-def _add_counts(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Add to counts, in place, the per-bin counts of cumulative counts cum."""
-    counts += cum
-    counts[1:] -= cum[:-1]
+def _msv_rows(rows: WeightVector, n: int, rngs=None) -> np.ndarray:
+    # lmse_partition's rule, row by row: bins at or above a row's cut, its
+    # surplus-th largest residual (from one sort of all rows), take a unit, and
+    # ties at the cut beyond the surplus give it back from the highest index down
+    floors, res, surplus, _ = rows._split
+    m = res.shape[1]
+    cut = np.sort(res, axis=1)[np.arange(len(res)), np.minimum(m - surplus, m - 1)]
+    take = res >= cut[:, None]
+    extra = take.sum(axis=1) - surplus
+    for r in np.flatnonzero(extra > 0):
+        take[r, np.flatnonzero(res[r] == cut[r])[-extra[r]:]] = False
+    return floors + take
+
+
+def _one_row(kernel, p, n, rng) -> Allocation:
+    """A row kernel's R = 1 case: one population, one stream."""
+    n = _check_n(n)
+    _check_type("rng", rng, RngStream)
+    return Allocation._trusted(kernel(p, n, (rng,))[0], n)
+
+
+def _draw_counts(cdf: np.ndarray, ks: np.ndarray, rngs) -> np.ndarray:
+    """(R, M) counts of ks[r] inverse-CDF draws from rngs[r] on CDF row r.
+
+    A draw lands in the first bin whose CDF value exceeds it, so bins 0..m
+    hold the draws below cdf[m], in any order. A uniform is j*2**-53 exactly,
+    so u < c iff j < ceil(c*2**53): the CDF values become the even keys
+    2*ceil(c*2**53) and the draws the odd keys 2*j + 1, below 2**55. Row r of
+    a group adds r*2**55, so 512 rows fit one uint64 sort, after which the
+    odd keys before each even key are the draws of the earlier rows and of
+    its own row below it; their differences are the counts.
+    """
+    counts = None
+    for g in range(0, len(cdf), 512):
+        c, k = cdf[g:g + 512].reshape(-1), ks[g:g + 512]
+        u = _uniform_runs(rngs[g:g + 512], k)
+        keys = np.empty(c.size + u.size, dtype=np.uint64)
+        for b in range(0, c.size, _BLOCK):  # block-sized temporaries, not an M-sized one
+            x = c[b:b + _BLOCK] * 2.0**53
+            np.multiply(np.ceil(x, out=x), 2.0, out=keys[b:b + x.size], casting="unsafe")
+        np.multiply(u, 2.0**54, out=keys[c.size:], casting="unsafe")
+        del x, u  # released before the sort and the readout
+        keys[c.size:] |= np.uint64(1)
+        if k.size > 1:
+            offsets = np.arange(k.size, dtype=np.uint64) << np.uint64(55)
+            keys[:c.size] += np.repeat(offsets, cdf.shape[1])
+            keys[c.size:] += np.repeat(offsets, k)
+        keys.sort()
+        keys &= np.uint64(1)
+        cum = (keys == 0).nonzero()[0]
+        del keys
+        cum -= np.arange(c.size)
+        if counts is None:  # after the readout: the counts never meet the keys of one group
+            counts = np.empty(cdf.shape, dtype=np.int64)
+        out = counts[g:g + 512].reshape(-1)
+        out[0] = cum[0]
+        np.subtract(cum[1:], cum[:-1], out=out[1:])
     return counts
 
 
-def _merged_readout(m: int, k: int) -> bool:
-    """Whether k draws into an m-entry CDF are counted by one merged key sort.
-
-    Measured with NumPy 2.4's AVX-512 sorts on one thread, the merged readout
-    takes 0.6-0.97 of the search readout's time inside this rule. It breaks
-    even near k = 8m and, at m = 1e6, near k = m/128, and is up to 1.5x
-    slower below a thousand draws. Every other call, such as the benchmark's
-    M = 100, sorts and searches; that path goes once row-batched scheme
-    kernels put every call inside the rule.
-    """
-    return 4096 <= k <= 4 * m and 4096 <= m <= 16 * k
-
-
-def _draw_cum(cdf: np.ndarray, rng: RngStream, k: int) -> np.ndarray:
-    """Cumulative inverse-CDF counts of k uniforms from rng; cdf is only read.
-
-    A draw lands in the first bin whose CDF value exceeds it, so the draws
-    landing in bins 0..m number those strictly below cdf[m]. Counts do not
-    depend on draw order, so sorting replaces a random-access search per draw.
-    """
-    m = cdf.size
-    u = rng.next_uniforms(k)
-    if not _merged_readout(m, k):
-        u.sort()
-        return u.searchsorted(cdf)  # side="left"
-    # An RngStream uniform is j*2**-53 exactly, so u < c iff j < ceil(c*2**53).
-    # The CDF values become the even keys 2*ceil(c*2**53) and the draws the
-    # odd keys 2*j + 1, which never tie; after one sort, the draws below
-    # cdf[m] are the odd keys before the m-th even key: its position minus m.
-    keys = np.empty(m + k, dtype=np.uint64)
-    for b in range(0, m, _BLOCK):  # block-sized temporaries, not an M-sized one
-        c = cdf[b:b + _BLOCK] * 2.0**53
-        np.multiply(np.ceil(c, out=c), 2.0, out=keys[b:b + c.size], casting="unsafe")
-    np.multiply(u, 2.0**54, out=keys[m:], casting="unsafe")
-    del c, u  # released before the sort and the readout
-    keys[m:] |= np.uint64(1)
-    keys.sort()
-    keys &= np.uint64(1)
-    cum = np.flatnonzero(keys == 0)
-    del keys
-    cum -= np.arange(m)
-    return cum
+def _multinomial_rows(rows, n: int, rngs) -> np.ndarray:
+    cdf = _weights_of(rows).cdf.reshape(len(rngs), -1)  # a copy made from raw weights is freed
+    return _draw_counts(cdf, np.full(len(rngs), n), rngs)
 
 
 def multinomial_resample(p, n, rng: RngStream) -> Allocation:
     """n independent draws from the weight distribution via inverse CDF."""
-    cdf = _weights_of(p).cdf  # a copy made from raw weights is freed here
-    n = _check_n(n)
-    _check_type("rng", rng, RngStream)
-    cum = _draw_cum(cdf, rng, n)
-    # counts are allocated after the readout, so they never coexist with the
-    # draws, their keys or the stream's temporaries
-    counts = _add_counts(np.zeros(cdf.size, dtype=np.int64), cum)
-    return Allocation._trusted(counts, n)
+    return _one_row(_multinomial_rows, p, n, rng)
+
+
+def _systematic_rows(rows, n: int, rngs) -> np.ndarray:
+    cdf = _weights_of(rows).cdf.reshape(len(rngs), -1)  # as in _multinomial_rows
+    if len(rngs) == 1:  # a scalar draw skips the array mix, which costs more for one value
+        return _systematic_counts(cdf, n, np.array([rngs[0].next_uniform()]))
+    return _systematic_counts(cdf, n, _uniform_runs(rngs, np.ones(len(rngs), dtype=np.int64)))
 
 
 def systematic_resample(p, n, rng: RngStream) -> Allocation:
     """One uniform offset, n evenly spaced grid points through the CDF."""
-    cdf = _weights_of(p).cdf  # as in multinomial_resample
-    n = _check_n(n)
-    _check_type("rng", rng, RngStream)
-    return _systematic_counts(cdf, n, rng.next_uniform())
+    return _one_row(_systematic_rows, p, n, rng)
 
 
-def _systematic_counts(cdf: np.ndarray, n: int, u: float) -> Allocation:
-    # Grid point (u + i)/n lies below cdf[m] for i < n*cdf[m] - u, so the
-    # cumulative counts are ceil(n*cdf - u), within [0, n] for cdf in [0, 1]
-    # and u in [0, 1): whole floats, whose differences are exact. Built one
-    # block at a time, they need no M-sized buffer beside the counts.
-    top = math.ceil(n - u) < n
-    counts = np.empty(cdf.size, dtype=np.int64)
-    if cdf.size <= _BLOCK:
-        _block_counts(cdf, n, u, top, np.empty(cdf.size), counts, 0.0)
-    else:
-        cum, before = np.empty(_BLOCK), 0.0
-        for b in range(0, cdf.size, _BLOCK):
-            c = cdf[b:b + _BLOCK]
-            before = _block_counts(c, n, u, top, cum[:c.size], counts[b:b + c.size], before)
-    return Allocation._trusted(counts, n)
+def _systematic_counts(cdf: np.ndarray, n: int, u: np.ndarray) -> np.ndarray:
+    """(R, M) counts of (R, M) CDF rows, row r at offset u[r].
 
-
-def _block_counts(cdf, n, u, top, cum, counts, before) -> float:
-    """Write one CDF block's counts, its cumulative counts continuing from
-    before, into counts (cum is scratch); return its last cumulative count.
-
-    When u is within an ulp of 1, n - u rounds down to n - 1 (top); where cdf
-    is 1 the count is then n, which keeps the total exact and gives trailing
-    zero-weight particles no copy.
+    Grid point (u + i)/n lies below cdf[m] for i < n*cdf[m] - u, so the
+    cumulative counts are ceil(n*cdf - u): whole floats in [0, n], built and
+    differenced 2**15 values at a time. When u is within an ulp of 1, n - u
+    rounds down to n - 1 (top), so where cdf is 1 they are set to n: the
+    row's total stays exact and its trailing zero weights get no copy.
     """
-    np.multiply(cdf, n, out=cum)
-    cum -= u
-    np.ceil(cum, out=cum)
-    if top:
-        cum[cdf == 1.0] = n
-    counts[0] = cum[0] - before
-    np.subtract(cum[1:], cum[:-1], out=counts[1:], casting="unsafe")
-    return cum[-1]
+    u = u[:, None]
+    top = np.ceil(n - u) < n
+    fix = top.any()
+    counts = np.empty(cdf.shape, dtype=np.int64)
+    step, before = max(1, _BLOCK // len(cdf)), 0.0
+    cum = np.empty((len(cdf), min(step, cdf.shape[1])))
+    for b in range(0, cdf.shape[1], step):
+        c = cdf[:, b:b + step]
+        block = cum[:, :c.shape[1]]
+        np.multiply(c, n, out=block)
+        block -= u
+        np.ceil(block, out=block)
+        if fix:
+            block[top & (c == 1.0)] = n
+        counts[:, b] = block[:, 0] - before
+        np.subtract(block[:, 1:], block[:, :-1], out=counts[:, b + 1:b + c.shape[1]],
+                    casting="unsafe")
+        before = block[:, -1].copy()
+    return counts
 
 
 # The RSR carry recursion counts[m] = Floor((w[m] - u_m)*n) + 1, with
@@ -219,23 +203,25 @@ _rsr_counts = _systematic_counts
 rsr_resample = systematic_resample
 
 
-def residual_resample(p, n, rng: RngStream) -> Allocation:
-    """Deterministic floors plus multinomial draws on the residual mass."""
-    wv = _weights_of(p)
-    n = _check_n(n)
-    _check_type("rng", rng, RngStream)
-    if (split := wv._split_at(n)) is not None:
-        floors, _, remaining, cdf = split
+def _residual_rows(rows, n: int, rngs) -> np.ndarray:
+    wv = _weights_of(rows)
+    if (split := wv._split) is not None:
+        floors, _, surplus, cdf = split
         counts = floors.copy()
     else:
-        counts, res = _floors_and_residuals(wv.weights, n)
-        del wv  # as in multinomial_resample
-        remaining = _surplus(n, counts)
-        cdf = _residual_cdf(res) if remaining > 0 else None
+        counts, res = _floors_and_residuals(wv.weights[None], n)
+        del wv  # as in _multinomial_rows
+        surplus = np.array([_surplus(n, counts[0])])
+        cdf = _residual_cdf(res) if surplus[0] else None
         del res  # freed before the draws: only the residual CDF is needed
-    if remaining > 0:
-        _add_counts(counts, _draw_cum(cdf, rng, remaining))
-    return Allocation._trusted(counts, n)
+    if surplus.any():
+        counts += _draw_counts(cdf, surplus, rngs)
+    return counts
+
+
+def residual_resample(p, n, rng: RngStream) -> Allocation:
+    """Deterministic floors plus multinomial draws on the residual mass."""
+    return _one_row(_residual_rows, p, n, rng)
 
 
 def sampling_variance(c, w):
@@ -249,7 +235,7 @@ def sampling_variance(c, w):
         if c.shape != np.shape(w):
             raise ValidationError(f"shape mismatch: {c.shape} counts vs {np.shape(w)} weights")
         d = c - c.sum(axis=1, keepdims=True) * w
-        return np.mean(d * d, axis=1)
+        return np.add.reduce(d * d, axis=1) / d.shape[1]  # np.mean, without its dispatch
     return mse(c, w)
 
 
@@ -265,4 +251,12 @@ RESAMPLERS = {
     "systematic": systematic_resample,
     "rsr": rsr_resample,
     "msv": msv_resample,
+}
+
+# Each scheme's row kernel, by function (see the module docstring); rsr is systematic.
+_ROW_KERNELS = {
+    multinomial_resample: _multinomial_rows,
+    residual_resample: _residual_rows,
+    systematic_resample: _systematic_rows,
+    msv_resample: _msv_rows,
 }

@@ -8,14 +8,13 @@ Marsaglia-Tsang acceptance sampling otherwise. Everything consumes uniforms
 from one explicit stream, so runs are reproducible from the seed alone.
 
 Because a variate depends only on its stream's seed and position, R streams
-that advance in lockstep draw as one (R, k) array: ``uniform_rows`` is the
-one SplitMix64 kernel, and ``normals`` and ``gammas`` take either one stream
-or a sequence of distinct streams, one output row each. The kernel mixes at most 2**15
-values at a time, in blocks of whole rows or of one row's columns, so its
-passes over the values stay in a core's L2 cache; a draw that fits one block,
-such as every draw of the default SIR benchmark, runs no loop. Each block adds
-its start counter to a prefix of one constant table of the steps j*golden,
-j < 2**15, built at import, so no draw rebuilds them.
+draw as one array: ``uniform_rows`` gives each the same number of uniforms,
+as an (R, k) array, and ``_uniform_runs`` each its own number, one run after
+another. ``normals`` and ``gammas`` take one stream or a sequence of distinct
+streams, one output row each. ``uniform_rows`` mixes at most 2**15 values at
+a time, so its passes stay in a core's L2 cache, and each block adds its
+start counter to a prefix of one constant table of the steps j*golden,
+j < 2**15, built at import.
 """
 
 from __future__ import annotations
@@ -77,10 +76,8 @@ class RngStream:
         k = _check_size(k)
         if k > _BLOCK:
             return uniform_rows((self,), k)[0]
-        start = np.uint64((self.seed + (self._count + 1) * _GOLDEN) & _MASK)
-        self._count += k
         out = np.empty(k)
-        _mix_into(_STEPS[:k] + start, out)
+        _mix_into(_STEPS[:k] + _advance((self,), (k,)), out)
         return out
 
     def spawn(self, key: int) -> "RngStream":
@@ -99,12 +96,9 @@ def uniform_rows(rngs, k: int) -> np.ndarray:
     Row r is what ``rngs[r].next_uniforms(k)`` would return, and every
     stream advances by k.
     """
-    _check_streams(rngs)
+    rngs = _check_streams(rngs)
     k = _check_size(k)
-    start = np.array([(g.seed + (g._count + 1) * _GOLDEN) & _MASK for g in rngs],
-                     dtype=np.uint64)[:, None]
-    for g in rngs:
-        g._count += k
+    start = _advance(rngs, [k] * len(rngs))[:, None]
     out = np.empty((len(rngs), k))
     if max(out.size, k) <= _BLOCK:  # measured: a one-block loop costs about 3 us more
         _mix_into(np.add(start, _STEPS[:k]), out)
@@ -119,6 +113,29 @@ def uniform_rows(rngs, k: int) -> np.ndarray:
             zb = z[:block.size].reshape(block.shape)
             np.add(first[r:r + rows], _STEPS[:block.shape[1]], out=zb)
             _mix_into(zb, block)
+    return out
+
+
+def _advance(rngs, ks) -> np.ndarray:
+    """Each stream's counter base for its next draw, as uint64; stream r moves on ks[r]."""
+    start = np.array([(g.seed + (g._count + 1) * _GOLDEN) & _MASK for g in rngs],
+                     dtype=np.uint64)
+    for g, k in zip(rngs, ks):
+        g._count += k
+    return start
+
+
+def _uniform_runs(rngs, ks: np.ndarray) -> np.ndarray:
+    """The next ks[r] uniforms of each stream rngs[r], run r being what
+    ``rngs[r].next_uniforms(ks[r])`` would return, one run after another."""
+    if len(rngs) == 1:
+        return rngs[0].next_uniforms(int(ks[0]))
+    ends = np.cumsum(ks)
+    z = (np.arange(ends[-1]) - np.repeat(ends - ks, ks)).view(np.uint64)  # places in the runs
+    z *= _U_GOLDEN
+    z += np.repeat(_advance(rngs, ks.tolist()), ks)
+    out = np.empty(z.size)
+    _mix_into(z, out)
     return out
 
 
@@ -167,22 +184,23 @@ def _check_type(name: str, value, cls) -> None:
                               f"not {type(value).__name__}")
 
 
-def _check_streams(rngs) -> None:
-    """Refuse anything but a sequence of distinct streams: a stream listed
-    twice would give its rows one draw, not two."""
+def _check_streams(rngs) -> tuple:
+    """rngs as a tuple of distinct streams, read once; refuse anything else: a
+    stream listed twice would give its rows one draw, not two."""
     try:
-        streams = enumerate(rngs)
+        streams = tuple(rngs)
     except TypeError:  # not iterable
         raise ValidationError(f"rng must be an RngStream or a sequence of them, "
                               f"not {type(rngs).__name__}") from None
     first = {}
-    for i, g in streams:
+    for i, g in enumerate(streams):
         if not isinstance(g, RngStream):
             raise ValidationError(f"rng[{i}] must be an instance of RngStream, "
                                   f"not {type(g).__name__}")
         if first.setdefault(id(g), i) != i:
             raise ValidationError(f"stream at index {i} repeats the stream at index "
                                   f"{first[id(g)]}; each row needs its own stream")
+    return streams
 
 
 def _check_size(size) -> int:
@@ -230,8 +248,8 @@ def gammas(rng, shape: float, scale: float, size: int) -> np.ndarray:
         return -scale * np.log1p(-u).sum(axis=-2)
     if not isinstance(rng, RngStream):
         # Marsaglia-Tsang draws a varying number of uniforms: stream by stream
-        _check_streams(rng)
-        return np.array([gammas(g, shape, scale, size) for g in rng]).reshape(len(rng), size)
+        rows = _check_streams(rng)
+        return np.array([gammas(g, shape, scale, size) for g in rows]).reshape(len(rows), size)
     return np.array([_gamma_one(rng, float(shape)) * scale for _ in range(size)])
 
 

@@ -3,7 +3,9 @@
 One table: each row is a public constructor or function called with one bad
 input. It must raise exactly ValidationError, not a TypeError, a bare
 ValueError or a NumPy cast, with a message naming what was wrong, and warn
-nothing on the way.
+nothing on the way. A second table holds inputs that must work: each row
+calls a function with an input it once refused or mishandled, and compares
+the result with the same call on its usual form.
 """
 
 import warnings
@@ -28,6 +30,7 @@ from finset import (
     simulate_truth,
     sir_step,
 )
+from finset.rng import uniform_rows
 
 HALF = [0.5, 0.5]
 NOT_REAL = {  # each used to be parsed, cast, or refused with a TypeError
@@ -113,4 +116,27 @@ def test_bad_input_raises_validation_error_and_warns_nothing(call, message):
         with pytest.raises(ValidationError, match=message) as info:
             call()
     assert type(info.value) is ValidationError
+    assert caught == []
+
+
+WORKS = [  # (id, call on the unusual input, the same call on the usual one)
+    # a sequence of streams that can be read only once: the check used to
+    # consume it, and the draw then raised TypeError on its len()
+    *[(f"{name} generator of streams", lambda f=f: f(g for g in [RngStream(0), RngStream(1)]),
+       lambda f=f: f([RngStream(0), RngStream(1)]))
+      for name, f in [("normals", lambda rngs: normals(rngs, 2)),
+                      ("uniform_rows", lambda rngs: uniform_rows(rngs, 3)),
+                      ("gammas integer shape", lambda rngs: gammas(rngs, 3, 2.0, 2)),
+                      ("gammas fractional shape", lambda rngs: gammas(rngs, 2.5, 2.0, 2)),
+                      ("simulate_truth", lambda rngs: np.array(simulate_truth(2, rngs)))]],
+]
+
+
+@pytest.mark.parametrize("call, usual", [c[1:] for c in WORKS], ids=[c[0] for c in WORKS])
+def test_accepted_input_works_as_its_usual_form(call, usual):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = call()
+    want = usual()
+    assert got.dtype == want.dtype and np.array_equal(got, want)
     assert caught == []

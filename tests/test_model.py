@@ -17,7 +17,7 @@ from finset.model import (
     sir_step,
     state_transition,
 )
-from finset import partition
+from finset import partition, resampling
 from finset.partition import ValidationError, WeightVector
 from finset.resampling import RESAMPLERS, ParticleSet
 from finset.rng import RngStream
@@ -387,3 +387,59 @@ class TestBatchedRuns:
         assert {c[1:4] for c in calls} == {((6,), (6,), 6)}
         # one stream per run and scheme, used at every step
         assert len({(c[0], c[4]) for c in calls}) == 4 * 3
+
+    def test_one_row_kernel_call_per_step_and_scheme(self, monkeypatch):
+        # with the registry untouched, each (step, scheme) is one call over
+        # every run's row, and no run gets a population of its own
+        calls, builds = [], []
+        for fn, kernel in resampling._ROW_KERNELS.items():
+            def spy(rows, n, rngs, kernel=kernel):
+                calls.append((kernel.__name__, rows.weights.shape, n, len(rngs)))
+                return kernel(rows, n, rngs)
+            monkeypatch.setitem(resampling._ROW_KERNELS, fn, spy)
+        trusted = ParticleSet._trusted.__func__
+        monkeypatch.setattr(ParticleSet, "_trusted", classmethod(
+            lambda cls, *a: builds.append(a) or trusted(cls, *a)))
+        monkeypatch.setattr(WeightVector, "_each", lambda rows: builds.append(rows))
+        cfg = BenchmarkConfig(num_particles=6, num_steps=3, num_mc_runs=4, seed=2)
+        result = run_benchmark(cfg)
+        assert len(calls) == 3 * (len(METHODS) + 1)  # the methods plus the baseline
+        assert {c[1:] for c in calls} == {((4, 6), 6, 4)}
+        assert sorted({c[0] for c in calls}) == ["_msv_rows", "_multinomial_rows",
+                                                 "_residual_rows", "_systematic_rows"]
+        assert builds == []
+        assert record_digest(result) == record_digest(run_benchmark(cfg))
+
+    def test_unhashable_registry_entry_is_called_per_run(self, monkeypatch):
+        # the row kernels are looked up by identity; a hash lookup raised TypeError
+        class Entry:
+            __hash__ = None
+
+            def __init__(self, fn):
+                self.fn, self.calls = fn, 0
+
+            def __call__(self, p, n, rng):
+                self.calls += 1
+                return self.fn(p, n, rng)
+
+        cfg = BenchmarkConfig(num_particles=5, num_steps=2, num_mc_runs=3, seed=4)
+        want = record_digest(run_benchmark(cfg))
+        entry = Entry(RESAMPLERS["msv"])
+        monkeypatch.setitem(RESAMPLERS, "msv", entry)
+        assert record_digest(run_benchmark(cfg)) == want
+        assert entry.calls == 3 * 2
+
+    @pytest.mark.parametrize("runs", [512, 513])
+    def test_row_kernels_match_registry_calls_at_the_key_sort_limit(self, runs, monkeypatch):
+        # 512 rows fill one uint64 key sort; the 513th run starts a second
+        cfg = BenchmarkConfig(num_particles=5, num_steps=3, num_mc_runs=runs, seed=9)
+        rows = run_benchmark(cfg)
+        calls = []
+        for name, fn in RESAMPLERS.items():
+            def spy(p, n, rng, fn=fn):
+                calls.append(n)
+                return fn(p, n, rng)
+            monkeypatch.setitem(RESAMPLERS, name, spy)
+        per_row = run_benchmark(cfg)
+        assert len(calls) == runs * 3 * (len(METHODS) + 1)
+        assert record_digest(rows) == record_digest(per_row)

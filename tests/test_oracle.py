@@ -10,13 +10,16 @@ and a count variance of
 - residual: R*rbar*(1 - rbar), rbar = r/R, which is r*(1 - r/R);
 - systematic: r*(1 - r),
 
-so the mean sampling variance E[sv] is the mean of those variances.
+so the mean sampling variance E[sv] is the mean of those variances. msv
+draws nothing: its counts N are n*w rounded to a neighbouring integer, so its
+bias N - n*w = d has |d| < 1 and its sampling variance is (1/M) sum d**2,
+the least of any count vector given the weights.
 """
 
 import numpy as np
 import pytest
 
-from finset import model
+from finset import model, resampling
 from finset.partition import WeightVector
 from finset.resampling import RESAMPLERS, ParticleSet, sampling_variance
 from finset.rng import RngStream
@@ -68,7 +71,7 @@ def model_population():
     states, _, stored, _, live = model._propagate_and_weigh(
         states, np.full((3, 100), 0.01), np.array([2.0, 5.0, 9.0]), 5, rngs, model.ModelParams())
     assert live == 3
-    row = WeightVector._rows(stored, 100)[1]
+    row = WeightVector._rows(stored, 100)._each()[1]
     return ParticleSet._trusted(states[1], row), stored[1], 100
 
 
@@ -117,3 +120,20 @@ def test_oracle_fails_a_copy_in_the_wrong_bin(population, name):
     counts = draw(name, p, n, 2000, seed=3)
     assert oracle_failures(name, w, n, counts) == []
     assert oracle_failures(name, w, n, shift_one_copy(counts)) != []
+
+
+@pytest.mark.parametrize("population", POPULATIONS)
+def test_msv_bias_below_one_and_sv_its_mean_square(population):
+    p, w, n = POPULATIONS[population]()
+    rng = RngStream(1)
+    counts = RESAMPLERS["msv"](p, n, rng).sizes
+    assert rng.draws == 0
+    assert np.array_equal(counts, RESAMPLERS["msv"](p, n, RngStream(2)).sizes)
+    d = counts - n * w
+    assert np.all(np.abs(d) < 1.0)
+    assert sampling_variance(counts, w) == pytest.approx(np.mean(d * d), rel=1e-12, abs=0)
+    # so does msv's row kernel, row by row
+    rows = WeightVector._rows(np.stack([w, w[::-1]]), n)
+    got = resampling._ROW_KERNELS[resampling.msv_resample](rows, n)
+    assert np.array_equal(got[0], counts)
+    assert np.all(np.abs(got - n * rows.weights) < 1.0)

@@ -29,18 +29,22 @@ from finset.resampling import (
     rsr_resample,
     sampling_variance,
     systematic_resample,
-    _draw_cum,
-    _merged_readout,
+    _ROW_KERNELS,
+    _draw_counts,
     _rsr_counts,
     _systematic_counts,
 )
-from finset import resampling
 from finset.rng import _BLOCK, RngStream
 
 
 def pset(weights):
     w = WeightVector(weights)
     return ParticleSet(np.arange(len(w), dtype=float), w)
+
+
+def at_offset(kernel, cdf, n, u):
+    """The counts of one CDF at offset u, from a kernel of (R, M) CDF rows."""
+    return kernel(cdf[None], n, np.array([u]))[0]
 
 
 class TestParticleSet:
@@ -139,12 +143,13 @@ class TestMultinomial:
 
 class TestSystematic:
     def test_forced_offset_zero_even_split(self):
-        assert list(_systematic_counts(WeightVector([0.5, 0.5]).cdf, 2, 0.0).sizes) == [1, 1]
+        counts = at_offset(_systematic_counts, WeightVector([0.5, 0.5]).cdf, 2, 0.0)
+        assert list(counts) == [1, 1]
 
     def test_forced_offset_zero_three_bins(self):
         # grid {0,.2,.4,.6,.8} against CDF breaks {0.46, 0.80, 1.0}
-        counts = _systematic_counts(WeightVector([0.46, 0.34, 0.20]).cdf, 5, 0.0)
-        assert list(counts.sizes) == [3, 1, 1]
+        counts = at_offset(_systematic_counts, WeightVector([0.46, 0.34, 0.20]).cdf, 5, 0.0)
+        assert list(counts) == [3, 1, 1]
 
     def test_single_particle(self):
         assert list(systematic_resample(pset([1.0]), 6, RngStream(3)).sizes) == [6]
@@ -157,9 +162,10 @@ class TestSystematic:
     def test_largest_offset_keeps_m_counts(self):
         # 1 - 2**-53 is the largest uniform RngStream emits; there the last
         # grid point (u + n - 1)/n rounds to 1.0, past every CDF entry
-        counts = _systematic_counts(WeightVector([0.46, 0.34, 0.20]).cdf, 5, 1 - 2**-53)
+        counts = at_offset(_systematic_counts, WeightVector([0.46, 0.34, 0.20]).cdf, 5,
+                           1 - 2**-53)
         assert len(counts) == 3
-        assert counts.sizes.sum() == 5
+        assert counts.sum() == 5
 
     @pytest.mark.parametrize("weights", [[0.5, 0.5, 0.0], [0.1] * 10 + [0.0, 0.0]])
     def test_largest_offset_skips_trailing_zero_weights(self, weights):
@@ -167,7 +173,7 @@ class TestSystematic:
         # sums end an ulp short of 1
         w = WeightVector(weights)
         for kernel in (_systematic_counts, _rsr_counts):
-            counts = kernel(w.cdf, 2, 1 - 2**-53).sizes
+            counts = at_offset(kernel, w.cdf, 2, 1 - 2**-53)
             assert counts.sum() == 2
             assert np.all(counts[w.weights == 0.0] == 0), kernel.__name__
 
@@ -206,12 +212,12 @@ class TestRsr:
         assert list(rsr_resample(pset([1.0]), 5, RngStream(2)).sizes) == [5]
 
     def test_forced_offset_quarter(self):
-        assert list(_rsr_counts(WeightVector([0.5, 0.5]).cdf, 2, 0.25).sizes) == [1, 1]
+        assert list(at_offset(_rsr_counts, WeightVector([0.5, 0.5]).cdf, 2, 0.25)) == [1, 1]
 
     def test_matches_systematic_at_same_offset(self):
         w = WeightVector([0.46, 0.34, 0.20])
-        assert list(_rsr_counts(w.cdf, 5, 0.0).sizes) == list(
-            _systematic_counts(w.cdf, 5, 0.0).sizes
+        assert list(at_offset(_rsr_counts, w.cdf, 5, 0.0)) == list(
+            at_offset(_systematic_counts, w.cdf, 5, 0.0)
         )
 
     def test_consumes_one_uniform(self):
@@ -348,7 +354,8 @@ def test_running_sums_above_one_still_give_valid_counts():
     p = ParticleSet(np.arange(len(w), dtype=float), w)
     for n in (len(w), 7, 1000):
         results = {name: fn(p, n, RngStream(n)) for name, fn in RESAMPLERS.items()}
-        results["systematic at offset 0"] = _systematic_counts(w.cdf, n, 0.0)
+        at_zero = at_offset(_systematic_counts, w.cdf, n, 0.0)
+        results["systematic at offset 0"] = Allocation(at_zero)
         for name, c in results.items():
             assert len(c) == len(w), name
             assert np.all(c.sizes >= 0), name
@@ -464,7 +471,7 @@ def test_kernels_match_reference():
 
 
 def test_kernels_match_reference_at_large_m():
-    # M = n = 2e5: multinomial's and residual's draws take the merged readout
+    # M = n = 2e5: multinomial's and residual's keyed readouts span several blocks
     g = np.random.default_rng(26)
     m = 200_000
     for sigma in (0.1, 3.0):
@@ -476,11 +483,9 @@ def test_kernels_match_reference_at_large_m():
             want = REFERENCE[name](w.weights, m, ref_rng)
             assert np.array_equal(got, want), (name, sigma)
             assert rng.draws == ref_rng.draws, (name, sigma)
-        assert _merged_readout(m, m)
-        assert _merged_readout(m, m - int(np.floor(m * w.weights).sum()))
 
 
-@pytest.mark.parametrize("m", [100, 5000])  # 5000 takes the merged readout
+@pytest.mark.parametrize("m", [100, 5000])
 def test_one_weight_vector_serves_every_scheme(m):
     raw = np.random.default_rng(m).lognormal(0.0, 2.0, m)
     raw /= raw.sum()
@@ -490,7 +495,6 @@ def test_one_weight_vector_serves_every_scheme(m):
         rng, raw_rng = RngStream(3), RngStream(3)
         assert np.array_equal(fn(w, m, rng).sizes, fn(raw, m, raw_rng).sizes), name
         assert rng.draws == raw_rng.draws, name
-    assert _merged_readout(m, m) == (m == 5000)
     # the CDF is built once, then only read, by every scheme
     assert w.cdf is w.cdf
     assert np.array_equal(w.weights, weights) and np.array_equal(w.cdf, cdf)
@@ -526,23 +530,21 @@ def test_weight_rows_equal_one_row_each(m, n):
     stored.flags.writeable = False
     rows = WeightVector._rows(stored, n)
     same = lambda a, b: a.dtype == b.dtype and a.tobytes() == b.tobytes()  # noqa: E731
-    surpluses = []
-    for w, wv in zip(stored, rows):
+    assert rows.weights is stored and rows._split is not None
+    all_floors, all_res, surpluses, rcdfs = rows._split
+    for a in (rows.cdf, all_floors, all_res, surpluses, rcdfs):
+        assert not a.flags.writeable
+    for r, (w, wv) in enumerate(zip(stored, rows._each())):
         assert wv.weights is not w and same(wv.weights, w)
         assert same(wv.cdf, _cdf(np.cumsum(w)))  # the one-row search
+        assert same(rows.cdf[r], wv.cdf)
+        assert wv._split is None  # a row computes its split itself
         floors, res = _floors_and_residuals(w, n)
-        assert wv._split_at(n + 1) is None
-        row_floors, row_res, surplus, rcdf = wv._split_at(n)
-        assert same(row_floors, floors) and same(row_res, res)
-        assert surplus == _surplus(n, floors) and type(surplus) is int
-        if surplus:
-            assert same(rcdf, parent_residual_cdf(res))
-            assert same(rcdf, _residual_cdf(res.copy()))
-        else:
-            assert rcdf is None
-        for a in (wv.cdf, row_floors, row_res, rcdf):
-            assert a is None or not a.flags.writeable
-        surpluses.append(surplus)
+        assert same(all_floors[r], floors) and same(all_res[r], res)
+        assert surpluses[r] == _surplus(n, floors)
+        assert same(rcdfs[r], _residual_cdf(res.copy()))
+        if surpluses[r]:
+            assert same(rcdfs[r], parent_residual_cdf(res))
     cums = np.cumsum(stored, axis=1)
     if m == 10:  # ten equal weights sum to an ulp short of 1
         assert cums[2, -1] < 1.0
@@ -559,12 +561,12 @@ def test_weight_rows_reject_floors_past_float_precision():
 
 @pytest.mark.parametrize("m, n", [(10, 10), (7, 36), (100, 100)])
 def test_schemes_on_weight_rows_match_reference(m, n):
-    # at the rows' own n the schemes read the cached arrays; at another n, and
-    # on a caller's WeightVector of the same weights, they compute them
+    # each row of a rows vector holds its CDF and computes its split at any
+    # n, as a caller's WeightVector of the same weights does
     stored = fuzz_rows(np.random.default_rng(m + n), m, n)
     stored.flags.writeable = False
     rows = WeightVector._rows(stored, n)
-    for r, (w, wv) in enumerate(zip(stored, rows)):
+    for r, (w, wv) in enumerate(zip(stored, rows._each())):
         for k in (n, n + 3, max(1, n // 3)):
             for name, fn in RESAMPLERS.items():
                 for held in (wv, WeightVector(w)):
@@ -572,7 +574,58 @@ def test_schemes_on_weight_rows_match_reference(m, n):
                     got = fn(held, k, rng).sizes
                     assert np.array_equal(got, REFERENCE[name](w, k, ref_rng)), (name, r, k)
                     assert rng.draws == ref_rng.draws, (name, r, k)
-        assert wv._split[0] == n and not wv._split_at(n)[0].flags.writeable
+
+
+def row_kernel_cases():
+    """(R, M) stored weight rows and their n: fuzz_rows at several sizes, which
+    hold rows with no surplus (the uniform and dyadic rows at these n), a
+    zero-weight tail, running sums that pass 1 early and tied residuals;
+    each of them alone (R = 1); and 520 rows, past one 512-row key sort."""
+    for m, n in [(10, 10), (10, 4), (7, 36), (100, 100), (3000, 3000)]:
+        stored = fuzz_rows(np.random.default_rng(m + n), m, n)
+        yield f"M={m} n={n}", stored, n
+        for r in (0, 1, 3, 8):
+            yield f"M={m} n={n} row {r}", stored[r:r + 1], n
+    many = np.tile(fuzz_rows(np.random.default_rng(5), 5, 8), (52, 1))
+    assert len(many) == 520
+    yield "520 rows", many, 8
+
+
+@pytest.mark.parametrize("name", RESAMPLERS)
+def test_row_kernels_equal_one_call_per_row(name):
+    kernel = _ROW_KERNELS[RESAMPLERS[name]]
+    for case, stored, n in row_kernel_cases():
+        stored.flags.writeable = False
+        rows = WeightVector._rows(stored, n)
+        assert rows._split[2].min() == 0 or "row" in case or "520" in case
+        rngs = [RngStream(7).spawn(r) for r in range(len(stored))]
+        got = kernel(rows, n, rngs)
+        assert got.shape == stored.shape and got.dtype == np.int64, case
+        for r, (w, wv) in enumerate(zip(stored, rows._each())):
+            rng, ref_rng = RngStream(7).spawn(r), RngStream(7).spawn(r)
+            assert np.array_equal(got[r], RESAMPLERS[name](wv, n, rng).sizes), (case, r)
+            assert np.array_equal(got[r], REFERENCE[name](w, n, ref_rng)), (case, r)
+            assert rngs[r].draws == rng.draws == ref_rng.draws, (case, r)
+
+
+def test_systematic_rows_with_one_offset_near_one():
+    # u within an ulp of 1 sets the count of every bin whose CDF is 1 to n on
+    # that row alone; the rows around it keep their own offsets
+    stored = fuzz_rows(np.random.default_rng(4), 10, 10)
+    cdf = WeightVector._rows(stored, 10).cdf
+    for n in (10, 3, 37):
+        for top in range(len(cdf)):
+            u = np.random.default_rng(top).random(len(cdf))
+            u[top] = 1 - 2**-53
+            got = _systematic_counts(cdf, n, u)
+            for r, (c, ur) in enumerate(zip(cdf, u)):
+                cum = np.ceil(c * n - ur)
+                if np.ceil(n - ur) < n:
+                    cum[c == 1.0] = n
+                want = np.diff(cum, prepend=0.0).astype(np.int64)
+                assert np.array_equal(got[r], want), (n, top, r)
+                assert np.array_equal(got[r], at_offset(_systematic_counts, c, n, ur))
+            assert np.all(got[top][stored[top] == 0.0] == 0)  # the zero-weight tail
 
 
 @pytest.mark.parametrize("m", [_BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
@@ -588,7 +641,7 @@ def test_blocked_systematic_counts_match_one_pass(m, u):
         if np.ceil(n - u) < n:
             cum[cdf == 1.0] = n
         want = np.diff(cum, prepend=0.0).astype(np.int64)
-        got = _systematic_counts(cdf, n, u).sizes
+        got = at_offset(_systematic_counts, cdf, n, u)
         assert np.array_equal(got, want), n
         assert got.sum() == n and np.all(got[raw == 0] == 0)
 
@@ -628,15 +681,6 @@ def search_cum(cdf, u):
     return np.searchsorted(np.sort(u), cdf, side="left")
 
 
-def readouts(cdf, u, monkeypatch):
-    """_draw_cum's result down each path, for the same CDF and draws."""
-    out = {}
-    for merged in (False, True):
-        monkeypatch.setattr(resampling, "_merged_readout", lambda m, k, v=merged: v)
-        out[merged] = _draw_cum(cdf.copy(), FixedStream(u), u.size)
-    return out[False], out[True]
-
-
 def fuzz_cdfs(g, m):
     """CDFs of several kinds, as multinomial_resample builds them."""
     zeros = np.zeros(m // 5)
@@ -664,7 +708,10 @@ def fuzz_cdfs(g, m):
     (3, 5), (100, 100), (4095, 4096), (5000, 100), (4096, 4096), (5000, 20_000),
     (20_000, 80_000), (20_000, 160_000), (65_536, 4096), (300_000, 4096), (300_000, 1000),
 ])
-def test_readouts_agree_across_the_rule(m, k, monkeypatch):
+def test_readouts_agree_across_the_rule(m, k):
+    # The keyed readout of one row, which every call takes, against a search
+    # of the sorted draws, from a few CDF values and draws to 300 000 and
+    # 160 000, balanced and lopsided.
     g = np.random.default_rng(m + k)
     for kind, cdf in fuzz_cdfs(g, m):
         assert cdf[-1] <= 1.0 and np.all(np.diff(cdf) >= 0), kind
@@ -673,33 +720,18 @@ def test_readouts_agree_across_the_rule(m, k, monkeypatch):
         coarse = g.integers(0, 17, k) / 16.0
         coarse[coarse == 1.0] = 1 - 2**-53
         for u in (RngStream(k).next_uniforms(k), coarse):
-            search, merged = readouts(cdf, u, monkeypatch)
-            want = search_cum(cdf, u)
-            assert np.array_equal(search, want), kind
-            assert np.array_equal(merged, want), kind
-            assert merged.dtype == np.int64
-
-
-def test_rule_covers_only_measured_sizes():
-    assert not _merged_readout(100, 100)
-    assert not _merged_readout(4095, 10**6)
-    assert not _merged_readout(10**6, 4095)
-    assert not _merged_readout(10_000, 40_001)
-    assert not _merged_readout(16 * 5000 + 1, 5000)
-    assert _merged_readout(4096, 4096)
-    assert _merged_readout(10_000, 40_000)
-    assert _merged_readout(16 * 5000, 5000)
-    assert _merged_readout(10**6, 10**6)
+            keyed = _draw_counts(cdf.copy()[None], np.array([k]), [FixedStream(u)])
+            assert np.array_equal(keyed[0], np.diff(search_cum(cdf, u), prepend=0)), kind
+            assert keyed.dtype == np.int64
 
 
 def test_largest_uniform_skips_trailing_zero_weight_on_merged_readout():
-    # as TestMultinomial's stub, at a size that takes the merged readout
+    # as TestMultinomial's stub, at a size that once took the merged readout
     class TopStream(RngStream):
         def next_uniforms(self, k):
             return np.full(k, 1 - 2**-53)
 
     w = WeightVector([1 / 5000] * 5000 + [0.0])
-    assert _merged_readout(len(w), 5000)
     counts = multinomial_resample(w, 5000, TopStream(0)).sizes
     cdf = _cdf(np.cumsum(w.weights))
     want = np.diff(search_cum(cdf, np.full(5000, 1 - 2**-53)), prepend=0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from finset.partition import ValidationError
-from finset.rng import RngStream, gammas, normals, uniform_rows
+from finset.rng import RngStream, _uniform_runs, gammas, normals, uniform_rows
 
 # Frozen from the pinned SplitMix64 stream; any generator change must be
 # deliberate since it invalidates every golden vector in the suite.
@@ -164,6 +164,20 @@ def test_uniform_rows_are_the_streams_own_draws():
         assert np.array_equal(row, a.next_uniforms(9))
         assert g.draws == a.draws
     assert uniform_rows(streams, 0).shape == (4, 0)
+
+
+@pytest.mark.parametrize("ks", [[3, 0, 5, 1], [0, 0], [2**15 + 3, 1, 0], [7]],
+                         ids=["ragged", "none", "past one block", "one stream"])
+def test_uniform_runs_are_each_streams_own_draws(ks):
+    streams = [RngStream(6).spawn(i) for i in range(len(ks))]
+    streams[0].next_uniforms(4)  # runs may start at different positions
+    alone = [RngStream(g.seed) for g in streams]
+    for a, g in zip(alone, streams):
+        a.next_uniforms(g.draws)
+    runs = _uniform_runs(streams, np.array(ks))
+    want = [a.next_uniforms(k) for a, k in zip(alone, ks)]
+    assert runs.dtype == np.float64 and np.array_equal(runs, np.concatenate(want))
+    assert [g.draws for g in streams] == [a.draws for a in alone]
 
 
 def unblocked_rows(rngs, k):
