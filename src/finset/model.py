@@ -13,12 +13,11 @@ advances the shared population, so every scheme sees bit-identical inputs.
 
 All runs step together as the rows of (runs, particles) arrays, each run
 with its own streams, so every value is the one a run stepped alone would
-give. Each step builds the rows' CDFs, floors, residuals and residual CDFs
-once (``WeightVector._rows``), and each scheme's row kernel resamples every
-run in one call. ``RESAMPLERS`` is the extension point: an entry replaced by
-another function is called once per run, with that run's population and
-stream, as ``sir_step`` calls it. ``run_benchmark`` returns (runs, steps)
-columns, not records.
+give; ``sir_step`` is that step for one run. Each step splits the runs'
+weights once (``partition._Rows``), and each scheme's row kernel resamples
+every run in one call. ``RESAMPLERS`` is the extension point: an entry
+replaced by another function is called once per run, with that run's
+population and stream. ``run_benchmark`` returns (runs, steps) columns.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import Allocation, ValidationError, WeightVector, _check_n
+from .partition import ValidationError, _check_n, _Rows
+# counts_to_indices is not called here, but finbench's tracer wraps it by this name
 from .resampling import (_ROW_KERNELS, RESAMPLERS, ParticleSet, counts_to_indices,
                          sampling_variance)
 from .rng import RngStream, _check_streams, _check_type, _finite, _integer, gammas, normals
@@ -144,18 +144,19 @@ def _collapse(t, run=None) -> ParticleCollapseError:
     return ParticleCollapseError(f"{where}all particle weights vanished at step {t}")
 
 
-def _propagate_and_weigh(states, prior_weights, y_obs, t, rngs, params):
-    """Propagate and reweight R populations, the rows of (R, M) arrays.
+def _step(states, prior, y_obs, t, rngs, params, n, schemes, advance):
+    """One SIR step of the R runs in the rows of (R, M) states and prior weights.
 
-    Row r draws its noise from rngs[r] and is weighed against y_obs[r].
-    Returns the read-only states, the weights, the read-only weights as
-    WeightVector would store them, the weighted-mean estimates, and the
-    number of leading rows kept: the rows before the first collapsed one.
+    Row r draws from rngs[r] and is weighed against y_obs[r]. The rows before
+    the first collapsed one are resampled at n units by each (method, streams)
+    of schemes; with advance, the last scheme's counts copy the states.
+    Returns the states, their weights, the weights as WeightVector would
+    store them, the weighted-mean estimates and each scheme's counts.
     """
     noise = gammas(rngs, params.gamma_shape, params.gamma_scale, states.shape[1])
     states = state_transition(states, t, noise, params)
     with np.errstate(divide="ignore", over="ignore"):  # log(0) and d*d -> -inf
-        logw = np.log(prior_weights) + _log_likelihood(y_obs[:, None], states, t, params)
+        logw = np.log(prior) + _log_likelihood(y_obs[:, None], states, t, params)
     top = np.max(logw, axis=1, keepdims=True)
     collapsed = np.flatnonzero(~np.isfinite(top[:, 0]))
     live = int(collapsed[0]) if collapsed.size else len(states)
@@ -168,24 +169,28 @@ def _propagate_and_weigh(states, prior_weights, y_obs, t, rngs, params):
     # stacked matmul is bit-equal to one BLAS dot per row
     estimates = np.matmul(states[:, None, :], w[:, :, None])[:, 0, 0]
     states.flags.writeable = stored.flags.writeable = False
-    return states, w, stored, estimates, live
-
-
-def _resample_rows(method, rows: WeightVector, states, n, rngs) -> np.ndarray:
-    """(R, M) counts of ``RESAMPLERS[method]`` on R rows, row r with rngs[r]: one
-    call of its row kernel, or, for an entry replaced by another function, one
-    call per row with that row's own ``ParticleSet`` and stream."""
-    fn = RESAMPLERS[method]
-    for scheme, kernel in _ROW_KERNELS.items():  # by identity: an entry need not be hashable
-        if fn is scheme:
-            return kernel(rows, n, rngs)
-    psets = map(ParticleSet._trusted, states, rows._each())
-    return np.array([fn(p, n, g).sizes for p, g in zip(psets, rngs)])
+    if not live:
+        return states, w, stored, estimates, []
+    rows, counts = _Rows(stored, n), []
+    for method, streams in schemes:
+        fn, streams = RESAMPLERS[method], streams[:live]
+        # one row-kernel call; an entry replaced by another function is called
+        # per row, as for one run (found by identity: it need not be hashable)
+        kernel = next((k for f, k in _ROW_KERNELS.items() if f is fn), None)
+        if kernel is None:
+            psets = map(ParticleSet._trusted, states, rows.populations())
+            counts.append(np.array([fn(p, n, g).sizes for p, g in zip(psets, streams)]))
+        else:
+            counts.append(kernel(rows, streams))
+    if advance:
+        copies = np.repeat(np.arange(states.size), counts[-1].ravel())
+        states, w = states.ravel()[copies].reshape(live, n), np.full((live, n), 1.0 / n)
+    return states, w, stored, estimates, counts
 
 
 def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
              params: ModelParams = ModelParams(), num_out=None):
-    """One propagate-weight-resample step.
+    """One propagate-weight-resample step: ``run_benchmark``'s step for one run.
 
     Returns (new equally weighted ParticleSet, weighted-mean estimate before
     resampling, sampling variance of the resample counts).
@@ -198,16 +203,13 @@ def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
     # a nan or infinite y_obs, or a nan t, would surface as a particle collapse
     _finite("y_obs", y_obs)
     t = _integer("t", t, 1)
-    states, _, stored, estimates, live = _propagate_and_weigh(
+    states, weights, stored, estimates, counts = _step(
         p.states[None], p.weights.weights[None], np.array([y_obs], dtype=float), t,
-        [rng], params)
-    if not live:
+        [rng], params, n_out, [(method, [rng])], True)
+    if not estimates.size:
         raise _collapse(t)
-    counts = _resample_rows(method, WeightVector._rows(stored, n_out), states, n_out, [rng])
-    sv = float(sampling_variance(counts, stored)[0])
-    new_states = states[0][counts_to_indices(Allocation._trusted(counts[0], n_out))]
-    new_set = ParticleSet(new_states, WeightVector(np.full(n_out, 1.0 / n_out)))
-    return new_set, float(estimates[0]), sv
+    sv = float(sampling_variance(counts[0], stored)[0])
+    return ParticleSet(states[0], weights[0]), float(estimates[0]), sv
 
 
 def simulate_truth(num_steps, rng, params: ModelParams = ModelParams()):
@@ -244,8 +246,10 @@ def run_benchmark(config: BenchmarkConfig,
     root = RngStream(config.seed)
     run_rngs = [root.spawn(run) for run in range(runs)]
     filter_rngs = [g.spawn(1) for g in run_rngs]
-    baseline_rngs = [g.spawn(2) for g in run_rngs]
-    method_rngs = {m: [g.spawn(3 + i) for g in run_rngs] for i, m in enumerate(config.methods)}
+    # each scheme in turn, and then the baseline, which advances the population
+    schemes = [(m, [g.spawn(3 + i) for g in run_rngs]) for i, m in enumerate(config.methods)]
+    if config.resample_each_step:
+        schemes.append((config.baseline_method, [g.spawn(2) for g in run_rngs]))
 
     xs, ys = simulate_truth(steps, [g.spawn(0) for g in run_rngs], params)
     states = normals(filter_rngs, npart)  # initial particles ~ N(0, 1)
@@ -254,27 +258,19 @@ def run_benchmark(config: BenchmarkConfig,
     svs = {m: np.empty((runs, steps)) for m in config.methods}
     collapse = None
     for t in range(1, steps + 1):
-        states, weights, stored, est, live = _propagate_and_weigh(
-            states, weights, ys[:len(filter_rngs), t - 1], t, filter_rngs, params)
+        states, weights, stored, est, counts = _step(
+            states, weights, ys[:len(filter_rngs), t - 1], t, filter_rngs, params, npart,
+            schemes, config.resample_each_step)
+        live = len(est)
         if live < len(filter_rngs):
             # the runs from the collapsed one on can no longer be the one reported
             collapse = _collapse(t, live)
             if not live:
                 break
-            filter_rngs, baseline_rngs = filter_rngs[:live], baseline_rngs[:live]
-            method_rngs = {m: rngs[:live] for m, rngs in method_rngs.items()}
+            filter_rngs = filter_rngs[:live]
         estimates[:live, t - 1] = est
-        rows = WeightVector._rows(stored, npart)
-        for m, rngs in method_rngs.items():
-            svs[m][:live, t - 1] = sampling_variance(
-                _resample_rows(m, rows, states, npart, rngs), stored)
-
-        if config.resample_each_step:
-            base = _resample_rows(config.baseline_method, rows, states, npart,
-                                  baseline_rngs).ravel()
-            gather = counts_to_indices(Allocation._trusted(base, base.size))
-            states = states.ravel()[gather].reshape(live, npart)
-            weights = np.full((live, npart), 1.0 / npart)
+        for m, c in zip(config.methods, counts):
+            svs[m][:live, t - 1] = sampling_variance(c, stored)
     if collapse is not None:
         raise collapse
 

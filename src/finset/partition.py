@@ -84,37 +84,7 @@ class WeightVector:
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError(f"weights sum to {total!r}, "
                                   f"expected 1 within {WEIGHT_SUM_TOL}")
-        arr = arr / total
-        arr.flags.writeable = False
-        object.__setattr__(self, "weights", arr)
-
-    # (floors, residuals, surpluses, residual CDFs) of a ``_rows`` vector
-    _split = None
-
-    @classmethod
-    def _rows(cls, weights: np.ndarray, n: int) -> WeightVector:
-        """Wrap read-only (R, M) weight rows normalised as __init__ would; no
-        checks. Their CDFs and splits at n, which the row kernels read, are
-        computed for all rows at once, each row as it alone would give them."""
-        cdf = _cdf(weights.cumsum(axis=1))
-        floors, res = _floors_and_residuals(weights, n)
-        surplus = n - floors.sum(axis=1)
-        for r in (surplus.argmin(), surplus.argmax()):  # any row out of range is one of these
-            _surplus(n, floors[r])
-        rcdf = _residual_cdf(res.copy())  # a copy: the residuals msv reads stay as they are
-        for a in (cdf, floors, res, surplus, rcdf):
-            a.flags.writeable = False
-        rows = object.__new__(cls)
-        vars(rows).update(weights=weights, cdf=cdf, _split=(floors, res, surplus, rcdf))
-        return rows
-
-    def _each(self) -> list[WeightVector]:
-        """The rows of a ``_rows`` vector as vectors of their own: views of
-        their weights and CDFs, with no split."""
-        each = [object.__new__(WeightVector) for _ in self.weights]
-        for wv, w, c in zip(each, self.weights, self.cdf):
-            vars(wv).update(weights=w, cdf=c)
-        return each
+        object.__setattr__(self, "weights", _frozen(arr / total))
 
     def __len__(self):
         return self.weights.size
@@ -122,9 +92,7 @@ class WeightVector:
     @cached_property
     def cdf(self) -> np.ndarray:
         """The weights' running sums as a CDF (see ``_cdf``); built once, read-only."""
-        cdf = _cdf(self.weights.cumsum())
-        cdf.flags.writeable = False
-        return cdf
+        return _frozen(_cdf(self.weights.cumsum()))
 
 
 def _cdf(running: np.ndarray) -> np.ndarray:
@@ -145,16 +113,80 @@ def _cdf(running: np.ndarray) -> np.ndarray:
     return running
 
 
-def _residual_cdf(res: np.ndarray) -> np.ndarray:
-    """The CDF of residuals as mass, or of (R, M) rows of them; res is overwritten.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    n*w that rounds up onto an integer leaves a residual an ulp below 0; as
-    mass it is 0, and the running sums must not fall. Divided by the last of
-    them they are a CDF: nondecreasing, within [0, 1], ending at 1. A row with
-    no residual mass has no surplus to draw, and stays all 0.
+
+class _Rows:
+    """R rows of weights at n units, and the split of each that the row kernels read.
+
+    ``weights`` is (R, M), each row as WeightVector stores it; one caller's
+    WeightVector gives R = 1 and shares its cached ``cdf``. Each part is
+    built for every row at once, row r as that row alone would give it, and
+    only when read: at M = 1e6 one costs about what a whole systematic call
+    does. The parts read by more than one caller are cached read-only.
     """
-    cum = np.cumsum(np.maximum(res, 0.0, out=res), axis=-1)
-    return np.divide(cum, cum[..., -1:], out=cum, where=cum[..., -1:] > 0)
+
+    def __init__(self, weights, n: int):
+        self._population = weights if isinstance(weights, WeightVector) else None
+        self.weights = weights if self._population is None else weights.weights[None]
+        self.n = n
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """The running sums of each row as a CDF (see ``_cdf``)."""
+        if self._population is not None:
+            return self._population.cdf[None]
+        return _frozen(_cdf(self.weights.cumsum(axis=1)))
+
+    @cached_property
+    def floors(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """floor(n*w) as int64, and the units each row's floors leave: within
+        [0, M] unless n*w lost whole units."""
+        floors = self.n * self.weights
+        floors = _frozen(np.floor(floors, out=floors).astype(np.int64))
+        surplus = tuple([self.n - s for s in np.add.reduce(floors, axis=1).tolist()])
+        for s in surplus:
+            if not 0 <= s <= floors.shape[1]:
+                raise ValidationError(f"n = {self.n} is past float precision for these weights: "
+                                      f"the floors leave {s} units for {floors.shape[1]} bins")
+        return floors, surplus
+
+    def residuals(self) -> np.ndarray:
+        """w - floors/n, a new array: no caller reads them twice, nor keeps them."""
+        # the floors as ``floors`` computes them, so the pair stays consistent
+        # even where n*w sits on an integer in double precision
+        res = self.n * self.weights
+        np.floor(res, out=res)
+        res /= self.n
+        return np.subtract(self.weights, res, out=res)
+
+    @cached_property
+    def residual_cdf(self) -> np.ndarray:
+        """The residuals of each row as a CDF, built in their own array: none outlive it.
+
+        A residual an ulp below 0 (n*w rounded up onto an integer) is no mass.
+        A row with no residual mass stays all 0: it has no surplus to draw, or
+        it lost its units to rounding.
+        """
+        res = self.residuals()
+        cum = np.cumsum(np.maximum(res, 0.0, out=res), axis=1)
+        last = cum[:, -1:].copy()  # a view would overlap the output: NumPy would copy cum
+        for s, mass in zip(self.floors[1], last[:, 0].tolist()):
+            if s and not mass:
+                raise ValidationError(f"n = {self.n} is past float precision for these "
+                                      f"weights: the floors leave {s} units, and every "
+                                      f"residual rounds to 0")
+        return _frozen(np.divide(cum, last, out=cum, where=last > 0))
+
+    def populations(self) -> list[WeightVector]:
+        """Each row as a WeightVector of its own, for a scheme with no row
+        kernel: views of its weights and CDF, bit for bit the stored row."""
+        each = [object.__new__(WeightVector) for _ in self.weights]
+        for wv, w, c in zip(each, self.weights, self.cdf):
+            vars(wv).update(weights=w, cdf=c)
+        return each
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -188,16 +220,14 @@ class Allocation:
             raise ValidationError("sizes must sum to a positive integer at most 2**53")
         if total is not None and total != s:
             raise ValidationError(f"sizes sum to {s}, declared total is {total!r}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "sizes", arr)
+        object.__setattr__(self, "sizes", _frozen(arr))
         object.__setattr__(self, "total", s)
 
     @classmethod
     def _trusted(cls, sizes: np.ndarray, total: int) -> Allocation:
         """Freeze int64 sizes the library built to sum to total; no checks."""
-        sizes.flags.writeable = False
         a = object.__new__(cls)
-        object.__setattr__(a, "sizes", sizes)
+        object.__setattr__(a, "sizes", _frozen(sizes))
         object.__setattr__(a, "total", total)
         return a
 
@@ -214,8 +244,7 @@ class ResidualVector:
     def __init__(self, residuals):
         arr = _real_array(residuals, "residuals must be real numbers")
         arr = np.array(arr, float, ndmin=1)  # a copy: the caller's stays writeable
-        arr.flags.writeable = False
-        object.__setattr__(self, "residuals", arr)
+        object.__setattr__(self, "residuals", _frozen(arr))
 
     def __len__(self):
         return self.residuals.size
@@ -240,22 +269,27 @@ def _check_n(n) -> int:
     return whole
 
 
-def _floors_and_residuals(weights: np.ndarray, n: int):
-    # The residual is defined from the same floor value, so the pair stays
-    # internally consistent even when n*w sits on an integer boundary in
-    # double precision.
-    floors = np.floor(n * weights)
-    res = weights - floors / n
-    return floors.astype(np.int64), res
+def _lmse_rows(rows: _Rows, rngs=None) -> np.ndarray:
+    """``lmse_partition`` of each row, as (R, M) int64 counts; draws nothing.
 
-
-def _surplus(n: int, floors: np.ndarray) -> int:
-    """Units left after the floors: within [0, M] unless n*w lost whole units."""
-    surplus = n - int(floors.sum())
-    if not 0 <= surplus <= floors.size:
-        raise ValidationError(f"n = {n} is past float precision for these weights: "
-                              f"the floors leave {surplus} units for {floors.size} bins")
-    return surplus
+    One row finds its cut, the surplus-th largest residual, by a selection,
+    O(M); many rows by one row-wise sort, cheaper than a selection per row.
+    """
+    (floors, surplus), res = rows.floors, rows.residuals()
+    m = res.shape[1]
+    kth = [m - max(s, 1) for s in surplus]
+    if len(res) == 1:
+        cut = np.partition(res[0], kth[0])[kth]  # a copy: the partitioned one is freed
+    else:
+        cut = np.sort(res, axis=1)[np.arange(len(res)), kth]
+    take = res >= cut[:, None]
+    # one row counts fastest alone, many rows with one reduce along them
+    taken = [np.count_nonzero(take)] if len(take) == 1 else np.add.reduce(take, axis=1).tolist()
+    for r, (taken, s) in enumerate(zip(taken, surplus)):
+        if taken > s:
+            take[r, (res[r] == cut[r]).nonzero()[0][s - taken:]] = False
+    del res  # freed before the counts are built
+    return floors + take
 
 
 def lmse_partition(w, n) -> Allocation:
@@ -266,28 +300,13 @@ def lmse_partition(w, n) -> Allocation:
     Residual ties are broken by ascending index, so the output is
     bit-reproducible. O(M): a selection finds the surplus-th largest residual.
     """
-    wv = as_weights(w)
-    n = _check_n(n)
-    sizes, res = _floors_and_residuals(wv.weights, n)
-    surplus = _surplus(n, sizes)
-    if surplus > 0:
-        kth = res.size - surplus
-        cut = np.partition(res, kth)[kth]
-        take = res >= cut
-        # ties at the cut that straddle it go to the lowest indices
-        extra = int(np.count_nonzero(take)) - surplus
-        if extra > 0:
-            take[np.flatnonzero(res == cut)[-extra:]] = False
-        sizes += take
-    return Allocation._trusted(sizes, n)
+    rows = _Rows(as_weights(w), _check_n(n))
+    return Allocation._trusted(_lmse_rows(rows)[0], rows.n)
 
 
 def residuals(w, n) -> ResidualVector:
     """Fractional residuals w[m] - Floor(n*w[m])/n."""
-    wv = as_weights(w)
-    n = _check_n(n)
-    _, res = _floors_and_residuals(wv.weights, n)
-    return ResidualVector(res)
+    return ResidualVector(_Rows(as_weights(w), _check_n(n)).residuals()[0])
 
 
 def _discrepancy(a, w) -> np.ndarray:

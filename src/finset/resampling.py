@@ -16,12 +16,12 @@ counts summing to n), which every metric takes as it is:
   recursion telescopes to systematic's counts at the same offset, so
   ``rsr_resample`` is the systematic entry point under RSR's name.
 
-Each scheme has one row kernel (``_ROW_KERNELS``): the (R, M) rows of a
-``WeightVector._rows`` vector and R streams in, (R, M) int64 counts out, row
-r what the scheme gives that row with stream r alone. The public functions
-are its R = 1 case, except msv's, which selects in O(M). Multinomial and
-residual count their draws with one sort of exact integer keys per 512 rows;
-systematic differences its cumulative counts ceil(n*cdf - u) block by block.
+Each scheme has one row kernel (``_ROW_KERNELS``): R weight rows at n units
+(a ``partition._Rows``) and R streams in, (R, M) int64 counts out, row r what
+the scheme gives that row with stream r alone. The public functions are its
+R = 1 case. Multinomial and residual count their draws with one sort of
+exact integer keys per 512 rows; systematic differences its cumulative
+counts ceil(n*cdf - u) block by block; msv is ``lmse_partition``'s rule.
 
 Sampling variance is the mean squared discrepancy between counts and their
 real-valued expectations n*w, identical to the partition MSE metric.
@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import (Allocation, ValidationError, WeightVector, as_allocation, as_weights,
-                        _check_n, _floors_and_residuals, _real_array, _residual_cdf, _surplus,
-                        lmse_partition, mse)
+                        _check_n, _lmse_rows, _real_array, _Rows, lmse_partition, mse)
 from .rng import _BLOCK, RngStream, _check_type, _uniform_runs
 
 
@@ -84,25 +83,12 @@ def msv_resample(p, n, rng: RngStream | None = None) -> Allocation:
     return lmse_partition(_weights_of(p), n)
 
 
-def _msv_rows(rows: WeightVector, n: int, rngs=None) -> np.ndarray:
-    # lmse_partition's rule, row by row: bins at or above a row's cut, its
-    # surplus-th largest residual (from one sort of all rows), take a unit, and
-    # ties at the cut beyond the surplus give it back from the highest index down
-    floors, res, surplus, _ = rows._split
-    m = res.shape[1]
-    cut = np.sort(res, axis=1)[np.arange(len(res)), np.minimum(m - surplus, m - 1)]
-    take = res >= cut[:, None]
-    extra = take.sum(axis=1) - surplus
-    for r in np.flatnonzero(extra > 0):
-        take[r, np.flatnonzero(res[r] == cut[r])[-extra[r]:]] = False
-    return floors + take
-
-
 def _one_row(kernel, p, n, rng) -> Allocation:
     """A row kernel's R = 1 case: one population, one stream."""
     n = _check_n(n)
     _check_type("rng", rng, RngStream)
-    return Allocation._trusted(kernel(p, n, (rng,))[0], n)
+    # handed over, not kept: a kernel that drops the rows frees their weights
+    return Allocation._trusted(kernel(_Rows(_weights_of(p), n), (rng,))[0], n)
 
 
 def _draw_counts(cdf: np.ndarray, ks: np.ndarray, rngs) -> np.ndarray:
@@ -144,8 +130,9 @@ def _draw_counts(cdf: np.ndarray, ks: np.ndarray, rngs) -> np.ndarray:
     return counts
 
 
-def _multinomial_rows(rows, n: int, rngs) -> np.ndarray:
-    cdf = _weights_of(rows).cdf.reshape(len(rngs), -1)  # a copy made from raw weights is freed
+def _multinomial_rows(rows: _Rows, rngs) -> np.ndarray:
+    cdf, n = rows.cdf, rows.n
+    del rows  # see _one_row
     return _draw_counts(cdf, np.full(len(rngs), n), rngs)
 
 
@@ -154,8 +141,9 @@ def multinomial_resample(p, n, rng: RngStream) -> Allocation:
     return _one_row(_multinomial_rows, p, n, rng)
 
 
-def _systematic_rows(rows, n: int, rngs) -> np.ndarray:
-    cdf = _weights_of(rows).cdf.reshape(len(rngs), -1)  # as in _multinomial_rows
+def _systematic_rows(rows: _Rows, rngs) -> np.ndarray:
+    cdf, n = rows.cdf, rows.n
+    del rows  # see _one_row
     if len(rngs) == 1:  # a scalar draw skips the array mix, which costs more for one value
         return _systematic_counts(cdf, n, np.array([rngs[0].next_uniform()]))
     return _systematic_counts(cdf, n, _uniform_runs(rngs, np.ones(len(rngs), dtype=np.int64)))
@@ -203,19 +191,14 @@ _rsr_counts = _systematic_counts
 rsr_resample = systematic_resample
 
 
-def _residual_rows(rows, n: int, rngs) -> np.ndarray:
-    wv = _weights_of(rows)
-    if (split := wv._split) is not None:
-        floors, _, surplus, cdf = split
-        counts = floors.copy()
-    else:
-        counts, res = _floors_and_residuals(wv.weights[None], n)
-        del wv  # as in _multinomial_rows
-        surplus = np.array([_surplus(n, counts[0])])
-        cdf = _residual_cdf(res) if surplus[0] else None
-        del res  # freed before the draws: only the residual CDF is needed
-    if surplus.any():
-        counts += _draw_counts(cdf, surplus, rngs)
+def _residual_rows(rows: _Rows, rngs) -> np.ndarray:
+    floors, surplus = rows.floors
+    if not any(surplus):  # nothing to draw, and no residual CDF to build
+        return floors.copy()
+    cdf = rows.residual_cdf
+    del rows  # see _one_row
+    counts = _draw_counts(cdf, np.array(surplus), rngs)
+    counts += floors
     return counts
 
 
@@ -258,5 +241,5 @@ _ROW_KERNELS = {
     multinomial_resample: _multinomial_rows,
     residual_resample: _residual_rows,
     systematic_resample: _systematic_rows,
-    msv_resample: _msv_rows,
+    msv_resample: _lmse_rows,
 }

@@ -33,6 +33,9 @@ from finset import (
 from finset.rng import uniform_rows
 
 HALF = [0.5, 0.5]
+# n*w floors to n - 1 units, and both residuals round to exactly 0.0: the
+# residual CDF held no mass, and the last unit was drawn past its last bin
+LOST_UNIT = ([0.5207222343025517, 0.47927776569744845], 8443287019856399)
 NOT_REAL = {  # each used to be parsed, cast, or refused with a TypeError
     "str": ["0.5", "0.5"],
     "bytes": [b"0.5", b"0.5"],
@@ -106,6 +109,9 @@ CASES = [
      r"rng\[1\] must be an instance of RngStream, not int"),
     ("simulate_truth None rng", lambda: simulate_truth(3, None),
      "rng must be an RngStream or a sequence of them, not NoneType"),
+    ("residual unit lost near 2**53", lambda: RESAMPLERS["residual"](*LOST_UNIT, RngStream(0)),
+     "n = 8443287019856399 is past float precision for these weights: the floors leave 1 "
+     "units, and every residual rounds to 0"),
 ]
 
 
@@ -140,3 +146,10 @@ def test_accepted_input_works_as_its_usual_form(call, usual):
     want = usual()
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert caught == []
+
+
+def test_msv_keeps_the_unit_residual_refuses():
+    w, n = LOST_UNIT
+    counts = RESAMPLERS["msv"](w, n).sizes
+    assert counts.tolist() == [4396607281837357, 4046679738019042]
+    assert counts.sum() == n

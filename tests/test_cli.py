@@ -200,7 +200,18 @@ class TestBenchmarkCommand:
         (["--particles", "37", "--runs", "50", "--seed", "3", "--baseline", "multinomial"],
          ("3355d4838e0321355ec6f07eed3e25a71fb30324b394909ed0029581a39e018c",
           "4f32b4cb94dfb550b0cce54c11a6dc1f10640281750fbda78ab41480b2329642")),
-    ], ids=["defaults", "odd-m-multinomial-baseline"])
+        # baselines that read the floors, residuals and residual CDFs of every run
+        (["--particles", "37", "--runs", "50", "--seed", "3", "--baseline", "residual"],
+         ("cb8b40fee18ccc54a9f13fdb3f5f259be9413c945d74896e5426263c365b1527",
+          "04eda1755b7411283f8539f38c0444636624b6580e735ffee0924b949ae4ca76")),
+        (["--particles", "37", "--runs", "50", "--seed", "3", "--baseline", "msv"],
+         ("b31e68fd7e93523ca4b1b7bf904c9510cb3e7b3a7dd90b7baaf4d6283f65de3c",
+          "5744ef86376cadf3f3c06c3c20849dbd6869346f2cd02934727f83499e8c7859")),
+        (["--particles", "1000", "--runs", "20", "--steps", "20", "--baseline", "residual"],
+         ("6231ab540e8638f97e007ca3a50a28aa39d742977538d07bec9c5d77ca5418b0",
+          "e9e148993887f7e248b9344fdbc0544cfeefc89b919b8a58594e201ce3a8b5a0")),
+    ], ids=["defaults", "odd-m-multinomial-baseline", "odd-m-residual-baseline",
+            "odd-m-msv-baseline", "m-1000-residual-baseline"])
     def test_golden_digest_full_runs(self, tmp_path, argv, golden):
         out = tmp_path / "rec.csv"
         assert main(["benchmark", "--output", str(out)] + argv) == EXIT_OK

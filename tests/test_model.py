@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -18,7 +19,7 @@ from finset.model import (
     state_transition,
 )
 from finset import partition, resampling
-from finset.partition import ValidationError, WeightVector
+from finset.partition import ValidationError, WeightVector, lmse_partition, residuals
 from finset.resampling import RESAMPLERS, ParticleSet
 from finset.rng import RngStream
 
@@ -327,6 +328,32 @@ def record_digest(result):
     return h.hexdigest()
 
 
+def spy_kernels(monkeypatch) -> list:
+    """Record (name, weights shape, n, streams) of each row-kernel call."""
+    calls = []
+    for fn, kernel in resampling._ROW_KERNELS.items():
+        def spy(rows, rngs, kernel=kernel):
+            calls.append((kernel.__name__, rows.weights.shape, rows.n, len(rngs)))
+            return kernel(rows, rngs)
+        monkeypatch.setitem(resampling._ROW_KERNELS, fn, spy)
+    return calls
+
+
+def spy_parts(monkeypatch) -> list:
+    """Record the name of each part of a split as it is built."""
+    parts = []
+    for name in ("cdf", "floors", "residual_cdf"):
+        build = vars(partition._Rows)[name].func
+        spy = functools.cached_property(
+            lambda rows, build=build, name=name: parts.append(name) or build(rows))
+        spy.__set_name__(partition._Rows, name)
+        monkeypatch.setattr(partition._Rows, name, spy)
+    build = partition._Rows.residuals  # not cached: each caller reads them once
+    monkeypatch.setattr(partition._Rows, "residuals",
+                        lambda rows: parts.append("residuals") or build(rows))
+    return parts
+
+
 class TestBatchedRuns:
     """Every run steps as it would alone: digests and messages from the run-by-run loop."""
 
@@ -391,24 +418,39 @@ class TestBatchedRuns:
     def test_one_row_kernel_call_per_step_and_scheme(self, monkeypatch):
         # with the registry untouched, each (step, scheme) is one call over
         # every run's row, and no run gets a population of its own
-        calls, builds = [], []
-        for fn, kernel in resampling._ROW_KERNELS.items():
-            def spy(rows, n, rngs, kernel=kernel):
-                calls.append((kernel.__name__, rows.weights.shape, n, len(rngs)))
-                return kernel(rows, n, rngs)
-            monkeypatch.setitem(resampling._ROW_KERNELS, fn, spy)
+        calls, builds = spy_kernels(monkeypatch), []
         trusted = ParticleSet._trusted.__func__
         monkeypatch.setattr(ParticleSet, "_trusted", classmethod(
             lambda cls, *a: builds.append(a) or trusted(cls, *a)))
-        monkeypatch.setattr(WeightVector, "_each", lambda rows: builds.append(rows))
+        monkeypatch.setattr(partition._Rows, "populations", lambda rows: builds.append(rows))
         cfg = BenchmarkConfig(num_particles=6, num_steps=3, num_mc_runs=4, seed=2)
         result = run_benchmark(cfg)
         assert len(calls) == 3 * (len(METHODS) + 1)  # the methods plus the baseline
         assert {c[1:] for c in calls} == {((4, 6), 6, 4)}
-        assert sorted({c[0] for c in calls}) == ["_msv_rows", "_multinomial_rows",
+        assert sorted({c[0] for c in calls}) == ["_lmse_rows", "_multinomial_rows",
                                                  "_residual_rows", "_systematic_rows"]
         assert builds == []
         assert record_digest(result) == record_digest(run_benchmark(cfg))
+
+    def test_sir_step_is_one_kernel_call_reading_one_part(self, monkeypatch):
+        calls, parts = spy_kernels(monkeypatch), spy_parts(monkeypatch)
+        p = ParticleSet(np.linspace(-1.0, 1.0, 8), np.full(8, 1 / 8))
+        sir_step(p, 2.0, 3, "systematic", RngStream(1))
+        assert [c[0] for c in calls] == ["_systematic_rows"]
+        assert parts == ["cdf"]  # no floors, residuals or residual CDF
+
+    @pytest.mark.parametrize("call, built", [
+        (lambda: lmse_partition([0.3, 0.2, 0.5], 13), ["floors", "residuals"]),
+        (lambda: residuals([0.3, 0.2, 0.5], 13), ["residuals"]),
+        (lambda: RESAMPLERS["residual"]([0.3, 0.2, 0.5], 13, RngStream(0)),
+         ["floors", "residual_cdf", "residuals"]),
+        # nothing to draw: no residual CDF
+        (lambda: RESAMPLERS["residual"]([0.25, 0.75], 8, RngStream(0)), ["floors"]),
+    ], ids=["lmse_partition", "residuals", "residual", "residual with no surplus"])
+    def test_one_population_builds_only_the_parts_it_reads(self, call, built, monkeypatch):
+        parts = spy_parts(monkeypatch)
+        call()
+        assert sorted(parts) == built
 
     def test_unhashable_registry_entry_is_called_per_run(self, monkeypatch):
         # the row kernels are looked up by identity; a hash lookup raised TypeError

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from finset import model, resampling
-from finset.partition import WeightVector
+from finset.partition import WeightVector, _Rows
 from finset.resampling import RESAMPLERS, ParticleSet, sampling_variance
 from finset.rng import RngStream
 
@@ -68,10 +68,11 @@ def model_population():
     """A run's weighted population after one SIR step, as run_benchmark builds it."""
     rngs = [RngStream(4).spawn(r) for r in range(3)]
     states = model.normals(rngs, 100)
-    states, _, stored, _, live = model._propagate_and_weigh(
-        states, np.full((3, 100), 0.01), np.array([2.0, 5.0, 9.0]), 5, rngs, model.ModelParams())
-    assert live == 3
-    row = WeightVector._rows(stored, 100)._each()[1]
+    states, _, stored, estimates, _ = model._step(
+        states, np.full((3, 100), 0.01), np.array([2.0, 5.0, 9.0]), 5, rngs, model.ModelParams(),
+        100, [], False)
+    assert len(estimates) == 3
+    row = _Rows(stored, 100).populations()[1]
     return ParticleSet._trusted(states[1], row), stored[1], 100
 
 
@@ -133,7 +134,7 @@ def test_msv_bias_below_one_and_sv_its_mean_square(population):
     assert np.all(np.abs(d) < 1.0)
     assert sampling_variance(counts, w) == pytest.approx(np.mean(d * d), rel=1e-12, abs=0)
     # so does msv's row kernel, row by row
-    rows = WeightVector._rows(np.stack([w, w[::-1]]), n)
-    got = resampling._ROW_KERNELS[resampling.msv_resample](rows, n)
+    rows = _Rows(np.stack([w, w[::-1]]), n)
+    got = resampling._ROW_KERNELS[resampling.msv_resample](rows, ())
     assert np.array_equal(got[0], counts)
     assert np.all(np.abs(got - n * rows.weights) < 1.0)

@@ -9,9 +9,7 @@ from finset.partition import (
     ValidationError,
     WeightVector,
     _cdf,
-    _floors_and_residuals,
-    _residual_cdf,
-    _surplus,
+    _Rows,
     brute_force_partition,
     check_local_optimality,
     check_theory1_bound,
@@ -528,23 +526,29 @@ def test_weight_rows_equal_one_row_each(m, n):
     g = np.random.default_rng(m * n)
     stored = fuzz_rows(g, m, n)
     stored.flags.writeable = False
-    rows = WeightVector._rows(stored, n)
+    rows = _Rows(stored, n)
     same = lambda a, b: a.dtype == b.dtype and a.tobytes() == b.tobytes()  # noqa: E731
-    assert rows.weights is stored and rows._split is not None
-    all_floors, all_res, surpluses, rcdfs = rows._split
-    for a in (rows.cdf, all_floors, all_res, surpluses, rcdfs):
+    assert rows.weights is stored
+    (all_floors, surpluses), all_res = rows.floors, rows.residuals()
+    parts = (rows.cdf, all_floors, rows.residual_cdf)
+    for a in parts:  # cached and shared by every scheme
         assert not a.flags.writeable
-    for r, (w, wv) in enumerate(zip(stored, rows._each())):
+    assert surpluses == tuple(s for r in range(len(stored))
+                              for s in _Rows(stored[r:r + 1], n).floors[1])
+    for r, (w, wv) in enumerate(zip(stored, rows.populations())):
         assert wv.weights is not w and same(wv.weights, w)
         assert same(wv.cdf, _cdf(np.cumsum(w)))  # the one-row search
         assert same(rows.cdf[r], wv.cdf)
-        assert wv._split is None  # a row computes its split itself
-        floors, res = _floors_and_residuals(w, n)
-        assert same(all_floors[r], floors) and same(all_res[r], res)
-        assert surpluses[r] == _surplus(n, floors)
-        assert same(rcdfs[r], _residual_cdf(res.copy()))
+        one = _Rows(stored[r:r + 1], n)  # the row alone, and the arithmetic of one row
+        for part, got in zip(parts + (all_res,), (one.cdf, one.floors[0], one.residual_cdf,
+                                                  one.residuals())):
+            assert same(part[r], got[0])
+        floors = np.floor(n * w)
+        res = w - floors / n
+        assert same(all_floors[r], floors.astype(np.int64)) and same(all_res[r], res)
+        assert surpluses[r] == n - floors.sum()
         if surpluses[r]:
-            assert same(rcdfs[r], parent_residual_cdf(res))
+            assert same(rows.residual_cdf[r], parent_residual_cdf(res))
     cums = np.cumsum(stored, axis=1)
     if m == 10:  # ten equal weights sum to an ulp short of 1
         assert cums[2, -1] < 1.0
@@ -556,7 +560,7 @@ def test_weight_rows_equal_one_row_each(m, n):
 def test_weight_rows_reject_floors_past_float_precision():
     w = np.array([[0.5, 0.5], [0.18092580658734178, 0.8190741934126583]])
     with pytest.raises(ValidationError, match="float precision"):
-        WeightVector._rows(w, 9007199254447305)
+        _Rows(w, 9007199254447305).floors
 
 
 @pytest.mark.parametrize("m, n", [(10, 10), (7, 36), (100, 100)])
@@ -565,8 +569,8 @@ def test_schemes_on_weight_rows_match_reference(m, n):
     # n, as a caller's WeightVector of the same weights does
     stored = fuzz_rows(np.random.default_rng(m + n), m, n)
     stored.flags.writeable = False
-    rows = WeightVector._rows(stored, n)
-    for r, (w, wv) in enumerate(zip(stored, rows._each())):
+    rows = _Rows(stored, n)
+    for r, (w, wv) in enumerate(zip(stored, rows.populations())):
         for k in (n, n + 3, max(1, n // 3)):
             for name, fn in RESAMPLERS.items():
                 for held in (wv, WeightVector(w)):
@@ -596,12 +600,12 @@ def test_row_kernels_equal_one_call_per_row(name):
     kernel = _ROW_KERNELS[RESAMPLERS[name]]
     for case, stored, n in row_kernel_cases():
         stored.flags.writeable = False
-        rows = WeightVector._rows(stored, n)
-        assert rows._split[2].min() == 0 or "row" in case or "520" in case
+        rows = _Rows(stored, n)
+        assert min(rows.floors[1]) == 0 or "row" in case or "520" in case
         rngs = [RngStream(7).spawn(r) for r in range(len(stored))]
-        got = kernel(rows, n, rngs)
+        got = kernel(rows, rngs)
         assert got.shape == stored.shape and got.dtype == np.int64, case
-        for r, (w, wv) in enumerate(zip(stored, rows._each())):
+        for r, (w, wv) in enumerate(zip(stored, rows.populations())):
             rng, ref_rng = RngStream(7).spawn(r), RngStream(7).spawn(r)
             assert np.array_equal(got[r], RESAMPLERS[name](wv, n, rng).sizes), (case, r)
             assert np.array_equal(got[r], REFERENCE[name](w, n, ref_rng)), (case, r)
@@ -612,7 +616,7 @@ def test_systematic_rows_with_one_offset_near_one():
     # u within an ulp of 1 sets the count of every bin whose CDF is 1 to n on
     # that row alone; the rows around it keep their own offsets
     stored = fuzz_rows(np.random.default_rng(4), 10, 10)
-    cdf = WeightVector._rows(stored, 10).cdf
+    cdf = _Rows(stored, 10).cdf
     for n in (10, 3, 37):
         for top in range(len(cdf)):
             u = np.random.default_rng(top).random(len(cdf))
@@ -663,6 +667,31 @@ def test_systematic_holds_the_counts_and_one_block(held):
         tracemalloc.stop()
     assert counts.sum() == m
     assert peak < 2 * 8 * m + 16 * _BLOCK + 2**20
+
+
+# tracemalloc peaks, in M-arrays of 8 bytes, of one call at M = n = 1e6 on
+# near-uniform raw weights: the peaks measured before the split was built
+# lazily (multinomial 32.43, residual 35.94, systematic and rsr 15.57, msv
+# 30.52 MiB), plus 1 MiB
+PEAK_ARRAYS = {"multinomial": 4.38, "residual": 4.84, "systematic": 2.17, "rsr": 2.17,
+               "msv": 4.13}
+
+
+@pytest.mark.parametrize("name", RESAMPLERS)
+def test_one_population_peaks_within_its_bound(name):
+    # a part of the split that a scheme has read and no longer needs must not
+    # stay alive beside the next: each part is an M-array
+    m = 10**6
+    raw = np.random.default_rng(7).lognormal(0.0, 0.1, m)
+    raw /= raw.sum()
+    tracemalloc.start()
+    try:
+        counts = RESAMPLERS[name](raw, m, RngStream(5)).sizes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == m
+    assert peak < PEAK_ARRAYS[name] * 8 * m, peak / (8 * m)
 
 
 class FixedStream:
