@@ -12,8 +12,9 @@ scheme attains. A designated baseline scheme (systematic by default)
 advances the shared population, so every scheme sees bit-identical inputs.
 
 All runs step together as the rows of (runs, particles) arrays, each run
-with its own streams, so every value is the one a run stepped alone would
-give; ``sir_step`` is that step for one run. Each step splits the runs'
+with its own streams, held as stream rows (``rng._Streams``), so every
+value is the one a run stepped alone would give; ``sir_step`` is that step
+for one run. Each step splits the runs'
 weights once (``partition._Rows``), and each scheme's row kernel resamples
 every run in one call. ``RESAMPLERS`` is the extension point: an entry
 replaced by another function is called once per run, with that run's
@@ -31,7 +32,7 @@ from .partition import ValidationError, _check_n, _Rows
 # counts_to_indices is not called here, but finbench's tracer wraps it by this name
 from .resampling import (_ROW_KERNELS, RESAMPLERS, ParticleSet, counts_to_indices,
                          sampling_variance)
-from .rng import RngStream, _check_streams, _check_type, _finite, _integer, gammas, normals
+from .rng import RngStream, _check_type, _finite, _integer, _stream_rows, _Streams, gammas, normals
 
 METHODS = tuple(RESAMPLERS)
 
@@ -179,7 +180,8 @@ def _step(states, prior, y_obs, t, rngs, params, n, schemes, advance):
         kernel = next((k for f, k in _ROW_KERNELS.items() if f is fn), None)
         if kernel is None:
             psets = map(ParticleSet._trusted, states, rows.populations())
-            counts.append(np.array([fn(p, n, g).sizes for p, g in zip(psets, streams)]))
+            draw = lambda gs: np.array([fn(p, n, g).sizes for p, g in zip(psets, gs)])
+            counts.append(streams.each(draw) if isinstance(streams, _Streams) else draw(streams))
         else:
             counts.append(kernel(rows, streams))
     if advance:
@@ -220,14 +222,14 @@ def simulate_truth(num_steps, rng, params: ModelParams = ModelParams()):
     Each step draws its Gamma noise, then its observation noise.
     """
     num_steps = _integer("num_steps", num_steps, 1)
-    rows = _check_streams([rng] if isinstance(rng, RngStream) else rng)
-    xs = np.empty((len(rows), num_steps))
-    ys = np.empty((len(rows), num_steps))
-    x = np.zeros(len(rows))
+    rows = _stream_rows([rng] if isinstance(rng, RngStream) else rng)  # one: a lone stream
+    xs = np.empty((len(rows) if isinstance(rows, _Streams) else 1, num_steps))
+    ys = np.empty(xs.shape)
+    x = np.zeros(len(xs))
     for t in range(1, num_steps + 1):
-        u = gammas(rows, params.gamma_shape, params.gamma_scale, 1)[:, 0]
+        u = gammas(rows, params.gamma_shape, params.gamma_scale, 1)[..., 0]
         x = state_transition(x, t, u, params)
-        v = normals(rows, 1)[:, 0] * params.obs_noise_std
+        v = normals(rows, 1)[..., 0] * params.obs_noise_std
         xs[:, t - 1] = x
         ys[:, t - 1] = measurement(x, t, v, params)
     return (xs[0], ys[0]) if isinstance(rng, RngStream) else (xs, ys)
@@ -243,15 +245,16 @@ def run_benchmark(config: BenchmarkConfig,
     _check_type("config", config, BenchmarkConfig)
     _check_type("params", params, ModelParams)
     npart, steps, runs = config.num_particles, config.num_steps, config.num_mc_runs
-    root = RngStream(config.seed)
-    run_rngs = [root.spawn(run) for run in range(runs)]
-    filter_rngs = [g.spawn(1) for g in run_rngs]
+    # each family spawns every run's stream at once; one run keeps its lone stream
+    rows = _stream_rows(map(RngStream(config.seed).spawn, range(runs)))
+    family = rows.spawn if runs > 1 else lambda key: [rows.spawn(key)]
+    filter_rngs = family(1)
     # each scheme in turn, and then the baseline, which advances the population
-    schemes = [(m, [g.spawn(3 + i) for g in run_rngs]) for i, m in enumerate(config.methods)]
+    schemes = [(m, family(3 + i)) for i, m in enumerate(config.methods)]
     if config.resample_each_step:
-        schemes.append((config.baseline_method, [g.spawn(2) for g in run_rngs]))
+        schemes.append((config.baseline_method, family(2)))
 
-    xs, ys = simulate_truth(steps, [g.spawn(0) for g in run_rngs], params)
+    xs, ys = simulate_truth(steps, family(0), params)
     states = normals(filter_rngs, npart)  # initial particles ~ N(0, 1)
     weights = np.full((runs, npart), 1.0 / npart)
     estimates = np.empty((runs, steps))

@@ -35,7 +35,7 @@ import numpy as np
 
 from .partition import (Allocation, ValidationError, WeightVector, as_allocation, as_weights,
                         _check_n, _lmse_rows, _real_array, _Rows, lmse_partition, mse)
-from .rng import _BLOCK, RngStream, _check_type, _uniform_runs
+from .rng import _BLOCK, RngStream, _check_type, _Streams, _uniform_runs
 
 
 @dataclass(frozen=True, eq=False, init=False)  # as WeightVector
@@ -144,7 +144,7 @@ def multinomial_resample(p, n, rng: RngStream) -> Allocation:
 def _systematic_rows(rows: _Rows, rngs) -> np.ndarray:
     cdf, n = rows.cdf, rows.n
     del rows  # see _one_row
-    if len(rngs) == 1:  # a scalar draw skips the array mix, which costs more for one value
+    if len(rngs) == 1 and not isinstance(rngs, _Streams):  # one scalar draw skips the array mix
         return _systematic_counts(cdf, n, np.array([rngs[0].next_uniform()]))
     return _systematic_counts(cdf, n, _uniform_runs(rngs, np.ones(len(rngs), dtype=np.int64)))
 
@@ -223,7 +223,7 @@ def sampling_variance(c, w):
 
 
 def counts_to_indices(c) -> np.ndarray:
-    """Expand counts, in any form sampling_variance takes, into sorted indices."""
+    """Expand one count vector (an Allocation or its sizes) into sorted indices."""
     sizes = as_allocation(c).sizes
     return np.repeat(np.arange(sizes.size), sizes)
 

@@ -7,14 +7,12 @@ Box-Muller; Gamma draws use a sum of exponentials for integer shapes and
 Marsaglia-Tsang acceptance sampling otherwise. Everything consumes uniforms
 from one explicit stream, so runs are reproducible from the seed alone.
 
-Because a variate depends only on its stream's seed and position, R streams
-draw as one array: ``uniform_rows`` gives each the same number of uniforms,
-as an (R, k) array, and ``_uniform_runs`` each its own number, one run after
-another. ``normals`` and ``gammas`` take one stream or a sequence of distinct
-streams, one output row each. ``uniform_rows`` mixes at most 2**15 values at
-a time, so its passes stay in a core's L2 cache, and each block adds its
-start counter to a prefix of one constant table of the steps j*golden,
-j < 2**15, built at import.
+A variate depends only on (seed, position), so R streams are two uint64
+arrays of seeds and counts (``_Streams``), checked once, then drawn from,
+spawned and moved on by array operations. A per-stream draw (a Gamma of
+fractional shape) makes each row an RngStream at its count, then writes the
+count back; one stream draws alone, via ``next_uniform(s)``. Blocks of 2**15
+values stay in L2 cache, each adding its start to a table of j*golden.
 """
 
 from __future__ import annotations
@@ -75,9 +73,10 @@ class RngStream:
         """k uniforms as a float64 array; identical to k scalar draws."""
         k = _check_size(k)
         if k > _BLOCK:
-            return uniform_rows((self,), k)[0]
+            return uniform_rows(_Streams(*np.uint64([[self.seed], [self._count]]), (self,)), k)[0]
         out = np.empty(k)
-        _mix_into(_STEPS[:k] + _advance((self,), (k,)), out)
+        _mix_into(_STEPS[:k] + np.uint64((self.seed + (self._count + 1) * _GOLDEN) & _MASK), out)
+        self._count += k
         return out
 
     def spawn(self, key: int) -> "RngStream":
@@ -90,15 +89,75 @@ class RngStream:
         return f"RngStream(seed={self.seed}, draws={self._count})"
 
 
+class _Streams:
+    """R streams as uint64 arrays of seeds and counts (draws); a slice shares the counts."""
+
+    def __init__(self, seeds: np.ndarray, counts: np.ndarray, owners: tuple = ()):
+        self.seeds, self.counts, self._owners = seeds, counts, owners
+
+    def __len__(self):
+        return self.seeds.size
+
+    def __getitem__(self, rows: slice) -> _Streams:
+        return _Streams(self.seeds[rows], self.counts[rows], self._owners[rows])
+
+    def spawn(self, key: int) -> _Streams:
+        """Each row's child, bit for bit ``RngStream.spawn(key)``, from every seed at once."""
+        z = self.seeds ^ np.uint64(_mix((key + 1) * _GOLDEN & _MASK))
+        _mix64(z, np.empty_like(z))
+        return _Streams(z, np.zeros_like(z))
+
+    def _advance(self, ks) -> np.ndarray:
+        """Each row's counter base for its next draw; row r and its RngStream move on ks[r]."""
+        start = (self.counts + 1) * _U_GOLDEN + self.seeds
+        self.counts += ks
+        if self._owners:
+            for g, c in zip(self._owners, self.counts.tolist()):
+                g._count = c
+        return start
+
+    def each(self, draw):
+        """draw(gs), gs the rows as RngStreams at their counts; the rows move on as they did."""
+        gs = self._owners or tuple(map(RngStream, self.seeds.tolist()))
+        for g, c in zip(gs, self.counts.tolist()):
+            g._count = c
+        out = draw(gs)
+        self.counts[:] = [g._count for g in gs]
+        return out
+
+
+def _stream_rows(rngs):
+    """Rows, or distinct RngStreams read once, as rows or one stream alone; refuse the rest."""
+    if isinstance(rngs, _Streams):
+        return rngs
+    try:
+        streams = tuple(rngs)
+    except TypeError:  # not iterable
+        raise ValidationError(f"rng must be an RngStream or a sequence of them, "
+                              f"not {type(rngs).__name__}") from None
+    first = {}
+    for i, g in enumerate(streams):
+        if not isinstance(g, RngStream):
+            raise ValidationError(f"rng[{i}] must be an instance of RngStream, "
+                                  f"not {type(g).__name__}")
+        if first.setdefault(id(g), i) != i:  # its rows would be one draw, not two
+            raise ValidationError(f"stream at index {i} repeats the stream at index "
+                                  f"{first[id(g)]}; each row needs its own stream")
+    return streams[0] if len(streams) == 1 else _Streams(  # arrays of one cost more
+        *np.array([[g.seed for g in streams], [g._count for g in streams]], np.uint64), streams)
+
+
 def uniform_rows(rngs, k: int) -> np.ndarray:
     """The next k uniforms of each stream in rngs, as a (len(rngs), k) array.
 
     Row r is what ``rngs[r].next_uniforms(k)`` would return, and every
     stream advances by k.
     """
-    rngs = _check_streams(rngs)
+    rngs = _stream_rows(rngs)
     k = _check_size(k)
-    start = _advance(rngs, [k] * len(rngs))[:, None]
+    if isinstance(rngs, RngStream):
+        return rngs.next_uniforms(k)[None]
+    start = rngs._advance(k)[:, None]
     out = np.empty((len(rngs), k))
     if max(out.size, k) <= _BLOCK:  # measured: a one-block loop costs about 3 us more
         _mix_into(np.add(start, _STEPS[:k]), out)
@@ -116,44 +175,36 @@ def uniform_rows(rngs, k: int) -> np.ndarray:
     return out
 
 
-def _advance(rngs, ks) -> np.ndarray:
-    """Each stream's counter base for its next draw, as uint64; stream r moves on ks[r]."""
-    start = np.array([(g.seed + (g._count + 1) * _GOLDEN) & _MASK for g in rngs],
-                     dtype=np.uint64)
-    for g, k in zip(rngs, ks):
-        g._count += k
-    return start
-
-
 def _uniform_runs(rngs, ks: np.ndarray) -> np.ndarray:
     """The next ks[r] uniforms of each stream rngs[r], run r being what
     ``rngs[r].next_uniforms(ks[r])`` would return, one run after another."""
-    if len(rngs) == 1:
+    if not isinstance(rngs, _Streams) and len(rngs) == 1:  # one RngStream draws alone
         return rngs[0].next_uniforms(int(ks[0]))
+    rngs = _stream_rows(rngs)
     ends = np.cumsum(ks)
-    z = (np.arange(ends[-1]) - np.repeat(ends - ks, ks)).view(np.uint64)  # places in the runs
+    z = (np.arange(ks.sum()) - np.repeat(ends - ks, ks)).view(np.uint64)  # places in the runs
     z *= _U_GOLDEN
-    z += np.repeat(_advance(rngs, ks.tolist()), ks)
+    z += np.repeat(rngs._advance(ks.astype(np.uint64)), ks)
     out = np.empty(z.size)
     _mix_into(z, out)
     return out
 
 
 def _mix_into(z: np.ndarray, out: np.ndarray) -> None:
-    """Write SplitMix64's output mix of z, as uniforms, to the float64 out.
+    """Write SplitMix64's output mix of z, as uniforms, to the float64 out; z is mixed in place."""
+    _mix64(z, out.view(np.uint64))  # out is the scratch: its uniforms are written last
+    z >>= _U11
+    np.multiply(z, _INV_2_53, out=out)
 
-    z is mixed in place; out doubles as the scratch for the shifts, since its
-    uniforms are written last.
-    """
-    tmp = out.view(np.uint64)
+
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64's output mix of the uint64 z, in place; tmp is scratch of z's shape."""
     for shift, mult in ((_U30, _U_MIX1), (_U27, _U_MIX2)):
         np.right_shift(z, shift, out=tmp)
         z ^= tmp
         z *= mult
     np.right_shift(z, _U31, out=tmp)
     z ^= tmp
-    z >>= _U11
-    np.multiply(z, _INV_2_53, out=out)
 
 
 def _integer(name: str, value, low=None) -> int:
@@ -184,36 +235,12 @@ def _check_type(name: str, value, cls) -> None:
                               f"not {type(value).__name__}")
 
 
-def _check_streams(rngs) -> tuple:
-    """rngs as a tuple of distinct streams, read once; refuse anything else: a
-    stream listed twice would give its rows one draw, not two."""
-    try:
-        streams = tuple(rngs)
-    except TypeError:  # not iterable
-        raise ValidationError(f"rng must be an RngStream or a sequence of them, "
-                              f"not {type(rngs).__name__}") from None
-    first = {}
-    for i, g in enumerate(streams):
-        if not isinstance(g, RngStream):
-            raise ValidationError(f"rng[{i}] must be an instance of RngStream, "
-                                  f"not {type(g).__name__}")
-        if first.setdefault(id(g), i) != i:
-            raise ValidationError(f"stream at index {i} repeats the stream at index "
-                                  f"{first[id(g)]}; each row needs its own stream")
-    return streams
-
-
 def _check_size(size) -> int:
     """size as an int; a size that is not an integer would desync the stream."""
     size = _integer("size", size)
     if size < 0:
         raise ValidationError(f"size must be nonnegative, got {size}")
     return size
-
-
-def _uniforms(rng, k: int) -> np.ndarray:
-    """k uniforms from one stream, or a (R, k) array from a sequence of R streams."""
-    return rng.next_uniforms(k) if isinstance(rng, RngStream) else uniform_rows(rng, k)
 
 
 def normals(rng, size: int) -> np.ndarray:
@@ -223,9 +250,9 @@ def normals(rng, size: int) -> np.ndarray:
     whose row r is ``normals(rng[r], size)``.
     """
     size = _check_size(size)
-    pairs = (size + 1) // 2
-    u = _uniforms(rng, 2 * pairs)
-    u1, u2 = u[..., :pairs], u[..., pairs:]
+    k = 2 * ((size + 1) // 2)  # one pair of uniforms per two draws
+    u = rng.next_uniforms(k) if isinstance(rng, RngStream) else uniform_rows(rng, k)
+    u1, u2 = u[..., :k // 2], u[..., k // 2:]
     r = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0,1], log is safe
     theta = 2.0 * np.pi * u2
     return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :size]
@@ -242,14 +269,14 @@ def gammas(rng, shape: float, scale: float, size: int) -> np.ndarray:
     size = _check_size(size)
     if float(shape).is_integer():
         # sum of `shape` exponentials, fully vectorized
-        k = int(shape)
-        u = _uniforms(rng, k * size)
-        u = u.reshape(u.shape[:-1] + (k, size))
+        k = int(shape) * size
+        u = rng.next_uniforms(k) if isinstance(rng, RngStream) else uniform_rows(rng, k)
+        u = u.reshape(u.shape[:-1] + (int(shape), size))
         return -scale * np.log1p(-u).sum(axis=-2)
-    if not isinstance(rng, RngStream):
-        # Marsaglia-Tsang draws a varying number of uniforms: stream by stream
-        rows = _check_streams(rng)
-        return np.array([gammas(g, shape, scale, size) for g in rows]).reshape(len(rows), size)
+    if not isinstance(rng, RngStream):  # Marsaglia-Tsang's uniforms vary: stream by stream
+        rows = _stream_rows(rng)
+        draw = lambda gs: np.reshape([gammas(g, shape, scale, size) for g in gs], (len(gs), size))
+        return rows.each(draw) if isinstance(rows, _Streams) else draw([rows])
     return np.array([_gamma_one(rng, float(shape)) * scale for _ in range(size)])
 
 

@@ -18,7 +18,8 @@ from finset.model import (
     sir_step,
     state_transition,
 )
-from finset import partition, resampling
+from finset import model, partition, resampling
+from finset import rng as rng_module
 from finset.partition import ValidationError, WeightVector, lmse_partition, residuals
 from finset.resampling import RESAMPLERS, ParticleSet
 from finset.rng import RngStream
@@ -470,6 +471,70 @@ class TestBatchedRuns:
         monkeypatch.setitem(RESAMPLERS, "msv", entry)
         assert record_digest(run_benchmark(cfg)) == want
         assert entry.calls == 3 * 2
+
+    def test_stream_bookkeeping_does_not_grow_with_steps(self, monkeypatch):
+        # the run streams are checked and built once; every later draw, spawn
+        # and slice is array work on stream rows, however many steps there are
+        def bookkeeping(steps):
+            checks, builds = [], []
+            check, init = rng_module._stream_rows, RngStream.__init__
+
+            def spy_check(rngs):
+                if not isinstance(rngs, rng_module._Streams):  # rows are not checked again
+                    checks.append(rngs)
+                return check(rngs)
+
+            monkeypatch.setattr(rng_module, "_stream_rows", spy_check)
+            monkeypatch.setattr(model, "_stream_rows", spy_check)
+            monkeypatch.setattr(RngStream, "__init__",
+                                lambda g, seed: builds.append(seed) or init(g, seed))
+            run_benchmark(BenchmarkConfig(num_particles=6, num_steps=steps, num_mc_runs=4,
+                                          seed=2), ModelParams(gamma_shape=3.0))
+            monkeypatch.undo()
+            return len(checks), len(builds)
+
+        assert bookkeeping(3) == bookkeeping(30) == (1, 1 + 4)  # the root and the runs
+
+    def test_replaced_entry_sees_each_runs_stream_at_its_position(self, monkeypatch):
+        # a replaced entry gets a stream per (run, step) made from the stream
+        # rows; each must start where that run's earlier calls left off
+        seen = {name: {} for name in ("multinomial", "residual", "systematic", "rsr")}
+        for name in seen:
+            def spy(p, n, g, name=name, fn=RESAMPLERS[name]):
+                before = g.draws
+                out = fn(p, n, g)
+                if name == "residual":  # n - L uniforms: the units the floors leave
+                    assert g.draws - before == n - np.floor(n * p.weights.weights).sum()
+                seen[name].setdefault(g.seed, []).append((before, g.draws))
+                return out
+            monkeypatch.setitem(RESAMPLERS, name, spy)
+        cfg = BenchmarkConfig(num_particles=7, num_steps=5, num_mc_runs=4, seed=6,
+                              methods=tuple(seen), baseline_method="multinomial")
+        result = run_benchmark(cfg)
+        for name, runs in seen.items():
+            # four runs; the baseline's streams are multinomial's other four
+            assert len(runs) == (8 if name == "multinomial" else 4)
+            for calls in runs.values():
+                assert len(calls) == 5
+                assert [b for b, _ in calls] == [0] + [a for _, a in calls[:-1]]
+                if name in ("systematic", "rsr"):
+                    assert [b for b, _ in calls] == [0, 1, 2, 3, 4]  # t - 1
+                elif name == "multinomial":
+                    assert [b for b, _ in calls] == [0, 7, 14, 21, 28]  # (t - 1) * n
+        monkeypatch.undo()
+        assert record_digest(result) == record_digest(run_benchmark(cfg))
+
+    @pytest.mark.parametrize("shape", [3.0, 2.5], ids=["integer shape", "fractional shape"])
+    def test_first_run_of_many_equals_one_run_alone(self, shape):
+        # row 0 draws from stream rows, the one run from lone RngStreams
+        cfg = dict(num_particles=20, num_steps=8, seed=3, baseline_method="residual")
+        many = run_benchmark(BenchmarkConfig(num_mc_runs=4, **cfg), ModelParams(gamma_shape=shape))
+        one = run_benchmark(BenchmarkConfig(num_mc_runs=1, **cfg), ModelParams(gamma_shape=shape))
+        for name in ("x_true", "y_obs", "estimate"):
+            assert np.array_equal(getattr(many, name)[:1], getattr(one, name)), name
+        assert list(many.sv) == list(one.sv)
+        for m in one.sv:
+            assert np.array_equal(many.sv[m][:1], one.sv[m]), m
 
     @pytest.mark.parametrize("runs", [512, 513])
     def test_row_kernels_match_registry_calls_at_the_key_sort_limit(self, runs, monkeypatch):

@@ -260,6 +260,12 @@ def test_counts_to_indices_takes_what_sampling_variance_takes(sizes):
     assert sampling_variance(sizes, [0.5, 0.5]) == pytest.approx(0.25)
 
 
+def test_counts_to_indices_takes_one_count_vector():
+    # sampling_variance takes (R, M) count rows; counts_to_indices does not
+    with pytest.raises(ValidationError, match="1-d sequence of integers"):
+        counts_to_indices(np.array([[1, 2], [3, 0]]))
+
+
 def test_counts_to_indices_rejects_negative_sizes():
     with pytest.raises(ValidationError, match="negative size -1 at index 1"):
         counts_to_indices([1, -1])

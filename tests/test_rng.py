@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from finset.partition import ValidationError
-from finset.rng import RngStream, _uniform_runs, gammas, normals, uniform_rows
+from finset.rng import (RngStream, _stream_rows, _Streams, _uniform_runs, gammas, normals,
+                        uniform_rows)
 
 # Frozen from the pinned SplitMix64 stream; any generator change must be
 # deliberate since it invalidates every golden vector in the suite.
@@ -166,18 +167,44 @@ def test_uniform_rows_are_the_streams_own_draws():
     assert uniform_rows(streams, 0).shape == (4, 0)
 
 
-@pytest.mark.parametrize("ks", [[3, 0, 5, 1], [0, 0], [2**15 + 3, 1, 0], [7]],
-                         ids=["ragged", "none", "past one block", "one stream"])
+@pytest.mark.parametrize("ks", [[3, 0, 5, 1], [0, 0], [2**15 + 3, 1, 0], [7], []],
+                         ids=["ragged", "none", "past one block", "one stream", "no streams"])
 def test_uniform_runs_are_each_streams_own_draws(ks):
     streams = [RngStream(6).spawn(i) for i in range(len(ks))]
-    streams[0].next_uniforms(4)  # runs may start at different positions
+    if streams:
+        streams[0].next_uniforms(4)  # runs may start at different positions
     alone = [RngStream(g.seed) for g in streams]
     for a, g in zip(alone, streams):
         a.next_uniforms(g.draws)
-    runs = _uniform_runs(streams, np.array(ks))
-    want = [a.next_uniforms(k) for a, k in zip(alone, ks)]
+    # no streams raised IndexError, where uniform_rows([], k) has shape (0, k)
+    runs = _uniform_runs(streams, np.array(ks, dtype=np.int64))
+    want = [np.empty(0)] + [a.next_uniforms(k) for a, k in zip(alone, ks)]
     assert runs.dtype == np.float64 and np.array_equal(runs, np.concatenate(want))
     assert [g.draws for g in streams] == [a.draws for a in alone]
+
+
+def test_stream_rows_draw_spawn_and_slice_as_their_streams():
+    streams = [RngStream(8).spawn(i) for i in range(5)]
+    rows = _stream_rows(streams)  # rows of RngStreams write their counts back to them
+    assert isinstance(rows, _Streams) and len(rows) == 5
+    children = rows.spawn(3)
+    assert children.seeds.tolist() == [g.spawn(3).seed for g in streams]
+    assert children.counts.tolist() == [0] * 5 and not children._owners
+    alone = [g.spawn(3) for g in streams]
+    # a slice is a view: drawing from it moves the rows it holds, and only those
+    first = uniform_rows(children[:3], 4)
+    assert children.counts.tolist() == [4, 4, 4, 0, 0]
+    assert np.array_equal(first, [a.next_uniforms(4) for a in alone[:3]])
+    runs = _uniform_runs(children, np.array([2, 0, 1, 3, 0]))
+    want = [a.next_uniforms(k) for a, k in zip(alone, [2, 0, 1, 3, 0])]
+    assert np.array_equal(runs, np.concatenate(want))
+    # a draw made stream by stream reads and writes back each row's position
+    got = gammas(children, 2.5, 1.0, 3)
+    assert np.array_equal(got, [gammas(a, 2.5, 1.0, 3) for a in alone])
+    assert children.counts.tolist() == [a.draws for a in alone]
+    assert normals(rows, 2).shape == (5, 2) and [g.draws for g in streams] == [2] * 5
+    # a sequence of one stream draws alone, through next_uniforms
+    assert _stream_rows([streams[0]]) is streams[0]
 
 
 def unblocked_rows(rngs, k):
