@@ -79,7 +79,7 @@ class BenchmarkConfig:
 
     def __post_init__(self):
         for name in ("num_particles", "num_steps", "num_mc_runs"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1, limited=True))
         # a float seed would be truncated, so two configs would give one run
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         try:  # a str is a sequence too, of one-letter "methods"
@@ -221,7 +221,7 @@ def simulate_truth(num_steps, rng, params: ModelParams = ModelParams()):
     streams, for two (R, num_steps) arrays whose row r comes from rng[r].
     Each step draws its Gamma noise, then its observation noise.
     """
-    num_steps = _integer("num_steps", num_steps, 1)
+    num_steps = _integer("num_steps", num_steps, 1, limited=True)
     rows = _stream_rows([rng] if isinstance(rng, RngStream) else rng)  # one: a lone stream
     xs = np.empty((len(rows) if isinstance(rows, _Streams) else 1, num_steps))
     ys = np.empty(xs.shape)

@@ -358,8 +358,8 @@ def check_local_optimality(a, w) -> bool:
 
 def _compositions(n: int, m: int, memo: dict) -> np.ndarray:
     """All nonnegative m-part compositions of n, shape (C, m); memo holds sub-results."""
-    if m == 1:
-        return np.array([[n]], dtype=np.int32)
+    if m == 1:  # int32 bounds the blocks below 10**7 parts; one part alone takes any n
+        return np.array([[n]], dtype=np.int32 if n < 2**31 else np.int64)
     if (n, m) not in memo:
         blocks = []
         for first in range(n + 1):

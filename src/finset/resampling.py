@@ -212,9 +212,12 @@ def sampling_variance(c, w):
 
     Given an (R, M) integer array of count rows and an (R, M) array of the
     weight rows they were drawn from, returns the R row variances, with n the
-    row's sum. The rows are used as given: not validated, not renormalised.
+    row's sum. Both must hold real numbers; the rows are used as given, not
+    copied and not renormalised.
     """
     if isinstance(c, np.ndarray) and c.ndim == 2:
+        c = _real_array(c, "counts must be real numbers")
+        w = _real_array(w, "weights must be real numbers")
         if c.shape != np.shape(w):
             raise ValidationError(f"shape mismatch: {c.shape} counts vs {np.shape(w)} weights")
         d = c - c.sum(axis=1, keepdims=True) * w

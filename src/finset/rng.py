@@ -3,16 +3,15 @@
 The generator is pinned project-wide to counter-based SplitMix64: the i-th
 variate depends only on (seed, i), so scalar and vectorized draws agree
 bit-for-bit and golden test vectors are portable. Gaussian draws use
-Box-Muller; Gamma draws use a sum of exponentials for integer shapes and
-Marsaglia-Tsang acceptance sampling otherwise. Everything consumes uniforms
+Box-Muller; Gamma draws sum exponentials for an integer shape and invert the
+Gamma CDF, one uniform per draw, otherwise. Everything consumes uniforms
 from one explicit stream, so runs are reproducible from the seed alone.
 
 A variate depends only on (seed, position), so R streams are two uint64
 arrays of seeds and counts (``_Streams``), checked once, then drawn from,
-spawned and moved on by array operations. A per-stream draw (a Gamma of
-fractional shape) makes each row an RngStream at its count, then writes the
-count back; one stream draws alone, via ``next_uniform(s)``. Blocks of 2**15
-values stay in L2 cache, each adding its start to a table of j*golden.
+spawned and moved on by array operations; one stream draws alone, via
+``next_uniform(s)``. A draw takes at most 2**53 values, in blocks of 2**15
+that stay in L2 cache, each adding its start to a table of j*golden.
 """
 
 from __future__ import annotations
@@ -207,8 +206,8 @@ def _mix64(z: np.ndarray, tmp: np.ndarray) -> None:
     z ^= tmp
 
 
-def _integer(name: str, value, low=None) -> int:
-    """value as an int, which must be at least low if given; a float is refused."""
+def _integer(name: str, value, low=None, limited=False) -> int:
+    """value as an int, at least low if given and at most 2**53 if limited; a float is refused."""
     try:
         whole = operator.index(value)
     except TypeError:
@@ -216,6 +215,8 @@ def _integer(name: str, value, low=None) -> int:
     if whole is None or (low is not None and whole < low):
         at_least = "" if low is None else f" >= {low}"
         raise ValidationError(f"{name} must be an integer{at_least}, got {value!r}")
+    if limited and whole > 2**53:  # a count past n's limit would overflow a counter or an array
+        raise ValidationError(f"{name} must be at most 2**53, got {whole}")
     return whole
 
 
@@ -236,8 +237,8 @@ def _check_type(name: str, value, cls) -> None:
 
 
 def _check_size(size) -> int:
-    """size as an int; a size that is not an integer would desync the stream."""
-    size = _integer("size", size)
+    """size as an int in [0, 2**53]; a size that is not an integer would desync the stream."""
+    size = _integer("size", size, limited=True)
     if size < 0:
         raise ValidationError(f"size must be nonnegative, got {size}")
     return size
@@ -261,42 +262,22 @@ def normals(rng, size: int) -> np.ndarray:
 def gammas(rng, shape: float, scale: float, size: int) -> np.ndarray:
     """size Gamma(shape, scale) draws (scale parametrization, mean shape*scale).
 
-    rng is one stream, or a sequence of R streams for an (R, size) array
-    whose row r is ``gammas(rng[r], shape, scale, size)``.
+    An integer shape sums ``shape`` exponentials, shape*size uniforms (at most
+    2**53); any other shape inverts the Gamma CDF, one uniform per draw. rng
+    is one stream, or a sequence of R streams for an (R, size) array whose
+    row r is ``gammas(rng[r], shape, scale, size)``.
     """
     _finite("shape", shape, positive=True)
     _finite("scale", scale, positive=True)
     size = _check_size(size)
-    if float(shape).is_integer():
-        # sum of `shape` exponentials, fully vectorized
-        k = int(shape) * size
-        u = rng.next_uniforms(k) if isinstance(rng, RngStream) else uniform_rows(rng, k)
-        u = u.reshape(u.shape[:-1] + (int(shape), size))
-        return -scale * np.log1p(-u).sum(axis=-2)
-    if not isinstance(rng, RngStream):  # Marsaglia-Tsang's uniforms vary: stream by stream
-        rows = _stream_rows(rng)
-        draw = lambda gs: np.reshape([gammas(g, shape, scale, size) for g in gs], (len(gs), size))
-        return rows.each(draw) if isinstance(rows, _Streams) else draw([rows])
-    return np.array([_gamma_one(rng, float(shape)) * scale for _ in range(size)])
-
-
-def _gamma_one(rng: RngStream, shape: float) -> float:
-    # Marsaglia-Tsang; the shape < 1 case boosts from shape + 1.
-    if shape < 1.0:
-        u = rng.next_uniform()
-        while u <= 0.0:
-            u = rng.next_uniform()
-        return _gamma_one(rng, shape + 1.0) * u ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = float(normals(rng, 1)[0])
-        v = 1.0 + c * x
-        if v <= 0.0:
-            continue
-        v = v * v * v
-        u = rng.next_uniform()
-        if u < 1.0 - 0.0331 * x**4:
-            return d * v
-        if u > 0.0 and math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return d * v
+    whole = float(shape).is_integer()
+    k = int(shape) * size if whole else size
+    if k > 2**53:
+        raise ValidationError(f"shape {shape!r} and size {size} need more than 2**53 uniforms")
+    u = rng.next_uniforms(k) if isinstance(rng, RngStream) else uniform_rows(rng, k)
+    if not whole:
+        # imported on first use: scipy.special adds ~25 MiB and 0.3-0.6 s to any import of finset
+        from scipy.special import gammaincinv
+        return scale * gammaincinv(float(shape), u)
+    u = u.reshape(u.shape[:-1] + (int(shape), size))
+    return -scale * np.log1p(-u).sum(axis=-2)

@@ -23,16 +23,19 @@ from finset import (
     RngStream,
     ValidationError,
     WeightVector,
+    brute_force_partition,
     gammas,
     lmse_partition,
     normals,
     run_benchmark,
+    sampling_variance,
     simulate_truth,
     sir_step,
 )
 from finset.rng import uniform_rows
 
 HALF = [0.5, 0.5]
+PAST = 2**53 + 1  # one past the limit on every count: n, sizes, steps, particles, runs
 # n*w floors to n - 1 units, and both residuals round to exactly 0.0: the
 # residual CDF held no mass, and the last unit was drawn past its last bin
 LOST_UNIT = ([0.5207222343025517, 0.47927776569744845], 8443287019856399)
@@ -109,6 +112,35 @@ CASES = [
      r"rng\[1\] must be an instance of RngStream, not int"),
     ("simulate_truth None rng", lambda: simulate_truth(3, None),
      "rng must be an RngStream or a sequence of them, not NoneType"),
+    # counts past the limit: NumPy's "array is too big", or an OverflowError
+    # from the uint64 counter, or (runs) minutes building one stream per run
+    ("normals size past 2**53", lambda: normals(RngStream(0), PAST),
+     rf"size must be at most 2\*\*53, got {PAST}"),
+    ("next_uniforms past 2**53", lambda: RngStream(0).next_uniforms(PAST),
+     rf"size must be at most 2\*\*53, got {PAST}"),
+    ("uniform_rows past 2**53", lambda: uniform_rows([RngStream(0), RngStream(1)], PAST),
+     rf"size must be at most 2\*\*53, got {PAST}"),
+    ("gammas size past 2**53", lambda: gammas(RngStream(0), 2.5, 1.0, PAST),
+     rf"size must be at most 2\*\*53, got {PAST}"),
+    ("gammas uniforms past 2**53", lambda: gammas(RngStream(0), 2.0**70, 1.0, 1),
+     r"shape 1.1805916207174113e\+21 and size 1 need more than 2\*\*53 uniforms"),
+    ("gammas shape times size past 2**53", lambda: gammas(RngStream(0), 3, 1.0, 2**52),
+     rf"shape 3 and size {2**52} need more than 2\*\*53 uniforms"),
+    ("simulate_truth num_steps past 2**53", lambda: simulate_truth(PAST, RngStream(0)),
+     rf"num_steps must be at most 2\*\*53, got {PAST}"),
+    *[(f"BenchmarkConfig {name} past 2**53", lambda name=name: BenchmarkConfig(**{name: PAST}),
+       rf"{name} must be at most 2\*\*53, got {PAST}")
+      for name in ("num_particles", "num_steps", "num_mc_runs")],
+    ("ParticleSet 2-d states", lambda: ParticleSet([[0.0, 1.0]], HALF), "states must be 1-d"),
+    # the (R, M) rows were used unchecked: a TypeError, or NumPy's ragged ValueError
+    ("sampling_variance str weight rows",
+     lambda: sampling_variance(np.array([[1, 2]]), [["a", "b"]]),
+     "weights must be real numbers"),
+    ("sampling_variance ragged weight rows",
+     lambda: sampling_variance(np.array([[1, 1], [1, 1]]), [[0.5], [0.5, 0.5]]),
+     "weights must be real numbers"),
+    ("sampling_variance str count rows",
+     lambda: sampling_variance(np.array([["1", "1"]]), [HALF]), "counts must be real numbers"),
     ("residual unit lost near 2**53", lambda: RESAMPLERS["residual"](*LOST_UNIT, RngStream(0)),
      "n = 8443287019856399 is past float precision for these weights: the floors leave 1 "
      "units, and every residual rounds to 0"),
@@ -135,6 +167,11 @@ WORKS = [  # (id, call on the unusual input, the same call on the usual one)
                       ("gammas integer shape", lambda rngs: gammas(rngs, 3, 2.0, 2)),
                       ("gammas fractional shape", lambda rngs: gammas(rngs, 2.5, 2.0, 2)),
                       ("simulate_truth", lambda rngs: np.array(simulate_truth(2, rngs)))]],
+    # one bin has one composition for any n, but it was built as int32
+    ("brute_force_partition one bin at 2**31",
+     lambda: brute_force_partition([1.0], 2**31)[0].sizes, lambda: np.array([2**31])),
+    ("brute_force_partition one bin at 2**53",
+     lambda: brute_force_partition([1.0], 2**53)[0].sizes, lambda: np.array([2**53])),
 ]
 
 

@@ -1,9 +1,14 @@
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import finset.cli
 from finset.cli import EXIT_COLLAPSE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from finset.model import ParticleCollapseError
 
 
 def run(argv, capsys):
@@ -70,6 +75,12 @@ class TestPartitionCommand:
             ["partition", "--weights-file", "/nonexistent/w.csv", "--n", "3"], capsys
         )
         assert code == EXIT_IO
+
+    def test_unparsable_weight_exits_2(self, capsys):
+        code, out, err = run(["partition", "--weights", "0.5,abc", "--n", "4"], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.count("\n") == 1 and "unparsable weight" in err
 
     def test_round_trip_weights(self, capsys):
         w = [1 / 3, 1 / 3, 1 / 3]
@@ -226,6 +237,41 @@ class TestBenchmarkCommand:
         assert code == EXIT_VALIDATION
         assert err.count("\n") == 1 and "'systematic'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # NumPy's "array is too big", with a traceback and exit 1
+        ["--particles", str(2**62), "--steps", "1", "--runs", "1"],
+        # one stream per run, built first: it had not exited after a minute
+        ["--runs", str(2**62), "--steps", "1", "--particles", "2"],
+    ], ids=["particles", "runs"])
+    def test_count_past_2_53_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.csv"
+        code, _, err = run(["benchmark", "--output", str(out)] + argv, capsys)
+        assert code == EXIT_VALIDATION
+        assert err.count("\n") == 1 and "must be at most 2**53, got 4611686018427387904" in err
+        assert not out.exists()
+
+    def test_collapse_exits_4(self, tmp_path, capsys, monkeypatch):
+        # no argv collapses the default model, so the run is stubbed
+        def collapse(config):
+            raise ParticleCollapseError("run 3: all particle weights vanished at step 7")
+
+        monkeypatch.setattr(finset.cli, "run_benchmark", collapse)
+        out = tmp_path / "r.csv"
+        code, _, err = run(["benchmark", "--output", str(out)], capsys)
+        assert code == EXIT_COLLAPSE
+        assert err == "error: run 3: all particle weights vanished at step 7\n"
+        assert not out.exists()
+
+    def test_default_run_leaves_scipy_unimported(self, tmp_path):
+        # only a fractional Gamma shape needs scipy; importing it costs ~25 MiB
+        code = ("import sys; from finset.cli import main; "
+                f"code = main(['benchmark', '--output', {str(tmp_path / 'r.csv')!r}]); "
+                "print(code, 'scipy' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(finset.cli.__file__))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=os.environ | {"PYTHONPATH": src})
+        assert done.stdout == "0 False\n"
 
     def test_aggregate_msv_is_minimum(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -359,17 +359,18 @@ class TestBatchedRuns:
     """Every run steps as it would alone: digests and messages from the run-by-run loop."""
 
     @pytest.mark.parametrize("config, params, digest", [
-        # Marsaglia-Tsang consumption varies per run, so each run draws from its own stream
+        # fractional shapes invert the Gamma CDF; re-pinned once when that replaced
+        # Marsaglia-Tsang, and equal to each run stepped alone on lone streams
         (dict(num_particles=30, num_steps=10, num_mc_runs=4, seed=5), dict(gamma_shape=2.5),
-         "e76d47e01e737a717497ae8c6d0db38b84a2a17b40613d8b7964633b02258a40"),
+         "da039961309a7a3bed6ca413699f9c9ea90e7faaf31da16fbd052761900e114b"),
         (dict(num_particles=30, num_steps=10, num_mc_runs=4, seed=5), dict(gamma_shape=0.7),
-         "540a3eeed764c05f623da979de3540f62461890126880d22a21568e5e8333b9b"),
+         "985b2329a8275e025c1885a7d37538ffdb82033a6f92b446310d9cefd6c92b69"),
         (dict(num_particles=25, num_steps=12, num_mc_runs=5, seed=11,
               resample_each_step=False), {},
          "5874203427f1f2449d2b8468bd1a92b490fc02e4f1b850d563f9212a1e34fd24"),
         (dict(num_particles=25, num_steps=12, num_mc_runs=5, seed=11,
               resample_each_step=False, baseline_method="msv"), dict(gamma_shape=2.5),
-         "1767b0cb9ca9f2330f38cdd8cfc53307a0a8ede92863f34ef37d7cf578b99421"),
+         "d85ca5643b3a14a3720ae58b4fb6b203dc87a47387db29d81f8079ad0f692781"),
     ], ids=["shape-2.5", "shape-0.7", "no-step-resampling", "no-step-resampling-shape-2.5"])
     def test_records_match_run_by_run_digest(self, config, params, digest):
         result = run_benchmark(BenchmarkConfig(**config), ModelParams(**params))

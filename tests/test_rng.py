@@ -198,7 +198,7 @@ def test_stream_rows_draw_spawn_and_slice_as_their_streams():
     runs = _uniform_runs(children, np.array([2, 0, 1, 3, 0]))
     want = [a.next_uniforms(k) for a, k in zip(alone, [2, 0, 1, 3, 0])]
     assert np.array_equal(runs, np.concatenate(want))
-    # a draw made stream by stream reads and writes back each row's position
+    # a fractional Gamma draws from the rows as each stream alone would
     got = gammas(children, 2.5, 1.0, 3)
     assert np.array_equal(got, [gammas(a, 2.5, 1.0, 3) for a in alone])
     assert children.counts.tolist() == [a.draws for a in alone]
@@ -331,6 +331,27 @@ def test_gamma_fractional_shape_moments():
     g = gammas(RngStream(3), 2.5, 1.0, 50_000)
     assert g.mean() == pytest.approx(2.5, rel=0.03)
     assert g.var() == pytest.approx(2.5, rel=0.06)
+
+
+@pytest.mark.parametrize("shape", [0.7, 2.5])
+def test_gamma_fractional_shape_inverts_one_uniform_per_draw(shape):
+    # Marsaglia-Tsang drew at least 3 uniforms per variate, a varying number
+    from scipy.special import gammaincinv
+
+    rng, rows = RngStream(4), [RngStream(5).spawn(i) for i in range(3)]
+    u = RngStream(4).next_uniforms(7)
+    assert np.array_equal(gammas(rng, shape, 2.0, 7), 2.0 * gammaincinv(shape, u))
+    assert rng.draws == 7
+    gammas(rows, shape, 2.0, 7)
+    assert [g.draws for g in rows] == [7, 7, 7]
+
+
+# 2**52 - 0.5 is the largest float with a fractional part; 1e300 is a whole
+# float, whose sum of exponentials would need 1e300 uniforms (refused)
+@pytest.mark.parametrize("shape", [0.7, 2.5, 1e-300, 2**52 - 0.5])
+def test_gamma_extreme_fractional_shapes_give_finite_draws(shape):
+    g = gammas(RngStream(9), shape, 1.0, 1000)
+    assert g.shape == (1000,) and np.all(np.isfinite(g)) and np.all(g >= 0)
 
 
 def test_gamma_reproducible():
