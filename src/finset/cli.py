@@ -47,13 +47,13 @@ def _parse_weights(args) -> list[float]:
         raise ValidationError(f"unparsable weight: {e}") from None
 
 
-def _emit(lines, path):
-    text = "\n".join(lines) + "\n"
+def _emit(chunks, path):
+    """Write the text chunks, in order, to path, or to stdout when path is None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def cmd_partition(args) -> int:
@@ -67,7 +67,7 @@ def cmd_partition(args) -> int:
             f"{alloc.sizes[i]},{_fmt(res.residuals[i])}"
         )
     lines.append(f"mse={_fmt(mse(alloc, w))},mae={_fmt(mae(alloc, w))}")
-    _emit(lines, args.output)
+    _emit(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK
 
 
@@ -79,7 +79,7 @@ def cmd_resample(args) -> int:
     for i in range(len(w)):
         lines.append(f"{i},{_fmt(w.weights[i])},{counts.sizes[i]}")
     lines.append(f"sv={_fmt(sampling_variance(counts, w))}")
-    _emit(lines, args.output)
+    _emit(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK
 
 
@@ -93,25 +93,30 @@ def cmd_benchmark(args) -> int:
         baseline_method=args.baseline,
         resample_each_step=not args.no_step_resampling,
     )
-    result = run_benchmark(config)
-    columns = [c.tolist() for c in (result.x_true, result.y_obs, result.estimate)]
-    sv = [(m, column.tolist()) for m, column in result.sv.items()]
-    lines = ["run,t,x_true,y_obs,method,estimate,sv"]
-    for run, rows in enumerate(zip(*columns)):
-        for t, (x, y, estimate) in enumerate(zip(*rows), 1):
-            head, tail = f"{run},{t},{x!r},{y!r},", f",{estimate!r},"
-            for m, column in sv:
-                lines.append(f"{head}{m}{tail}{column[run][t - 1]!r}")
-    _emit(lines, args.output)
-
-    agg_lines = ["t,method,mean_sv"]
-    for (t, m), mean_sv in aggregate_mean_sv(result).items():
-        agg_lines.append(f"{t},{m},{_fmt(mean_sv)}")
     agg_path = args.aggregate
     if agg_path is None and args.output is not None:
         root, ext = os.path.splitext(args.output)
         agg_path = f"{root}_agg{ext or '.csv'}"
-    _emit(agg_lines, agg_path)
+    elif args.output is not None and os.path.realpath(agg_path) == os.path.realpath(args.output):
+        raise ValidationError(f"--aggregate and --output are one file: {args.output!r}")
+    result = run_benchmark(config)
+
+    def records():  # run by run: one run's rows are one chunk, no run's text outlives it
+        yield "run,t,x_true,y_obs,method,estimate,sv\n"
+        columns = (result.x_true, result.y_obs, result.estimate)
+        for run, rows in enumerate(zip(*columns)):
+            sv, lines = [(m, column[run].tolist()) for m, column in result.sv.items()], []
+            for t, (x, y, estimate) in enumerate(zip(*(r.tolist() for r in rows))):
+                head, tail = f"{run},{t + 1},{x!r},{y!r},", f",{estimate!r},"
+                for m, column in sv:
+                    lines.append(f"{head}{m}{tail}{column[t]!r}\n")
+            yield "".join(lines)
+
+    _emit(records(), args.output)
+    agg_lines = ["t,method,mean_sv"]
+    for (t, m), mean_sv in aggregate_mean_sv(result).items():
+        agg_lines.append(f"{t},{m},{_fmt(mean_sv)}")
+    _emit(["\n".join(agg_lines) + "\n"], agg_path)
     return EXIT_OK
 
 

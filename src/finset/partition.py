@@ -164,14 +164,14 @@ class _Rows:
 
     @cached_property
     def residual_cdf(self) -> np.ndarray:
-        """The residuals of each row as a CDF, built in their own array: none outlive it.
+        """The residuals of each row as a CDF, summed in place: nothing else reads them.
 
         A residual an ulp below 0 (n*w rounded up onto an integer) is no mass.
         A row with no residual mass stays all 0: it has no surplus to draw, or
         it lost its units to rounding.
         """
-        res = self.residuals()
-        cum = np.cumsum(np.maximum(res, 0.0, out=res), axis=1)
+        cum = self.residuals()
+        np.cumsum(np.maximum(cum, 0.0, out=cum), axis=1, out=cum)
         last = cum[:, -1:].copy()  # a view would overlap the output: NumPy would copy cum
         for s, mass in zip(self.floors[1], last[:, 0].tolist()):
             if s and not mass:
@@ -276,6 +276,7 @@ def _lmse_rows(rows: _Rows, rngs=None) -> np.ndarray:
     O(M); many rows by one row-wise sort, cheaper than a selection per row.
     """
     (floors, surplus), res = rows.floors, rows.residuals()
+    del rows  # see lmse_partition: the weights are freed before the selection's copy
     m = res.shape[1]
     kth = [m - max(s, 1) for s in surplus]
     if len(res) == 1:
@@ -300,8 +301,9 @@ def lmse_partition(w, n) -> Allocation:
     Residual ties are broken by ascending index, so the output is
     bit-reproducible. O(M): a selection finds the surplus-th largest residual.
     """
-    rows = _Rows(as_weights(w), _check_n(n))
-    return Allocation._trusted(_lmse_rows(rows)[0], rows.n)
+    n = _check_n(n)
+    # handed over, not kept: _lmse_rows frees a WeightVector built here once it is read
+    return Allocation._trusted(_lmse_rows(_Rows(as_weights(w), n))[0], n)
 
 
 def residuals(w, n) -> ResidualVector:

@@ -80,7 +80,8 @@ ResampleCounts = as_allocation
 
 def msv_resample(p, n, rng: RngStream | None = None) -> Allocation:
     """Minimum-sampling-variance resampling; deterministic, rng untouched."""
-    return lmse_partition(_weights_of(p), n)
+    # the weights as given: a WeightVector built of them belongs to the rows alone
+    return lmse_partition(p.weights if isinstance(p, ParticleSet) else p, n)
 
 
 def _one_row(kernel, p, n, rng) -> Allocation:
@@ -91,49 +92,64 @@ def _one_row(kernel, p, n, rng) -> Allocation:
     return Allocation._trusted(kernel(_Rows(_weights_of(p), n), (rng,))[0], n)
 
 
-def _draw_counts(cdf: np.ndarray, ks: np.ndarray, rngs) -> np.ndarray:
+def _draw_counts(held: list, ks, rngs) -> np.ndarray:
     """(R, M) counts of ks[r] inverse-CDF draws from rngs[r] on CDF row r.
 
-    A draw lands in the first bin whose CDF value exceeds it, so bins 0..m
-    hold the draws below cdf[m], in any order. A uniform is j*2**-53 exactly,
-    so u < c iff j < ceil(c*2**53): the CDF values become the even keys
-    2*ceil(c*2**53) and the draws the odd keys 2*j + 1, below 2**55. Row r of
-    a group adds r*2**55, so 512 rows fit one uint64 sort, after which the
-    odd keys before each even key are the draws of the earlier rows and of
-    its own row below it; their differences are the counts.
+    The (R, M) CDF rows are held's one item, taken out so that they are
+    freed once their keys are written, before the draws. A draw lands in the
+    first bin whose CDF value exceeds it, so bins 0..m hold the draws below
+    cdf[m], in any order. A uniform is j*2**-53 exactly, so u < c iff
+    j < ceil(c*2**53): the CDF values become the even keys 2*ceil(c*2**53)
+    and the draws the odd keys 2*j + 1, below 2**55. Row r of a group adds
+    r*2**55, so 512 rows fit one uint64 sort, after which the odd keys
+    before each even key are the draws of the earlier rows and of its own
+    row below it. The sorted keys are read 2**15 at a time, the odd keys
+    between two even keys written straight into the counts: beside the
+    keys, the CDF, the draws or the counts, never two of them, are alive.
     """
-    counts = None
-    for g in range(0, len(cdf), 512):
-        c, k = cdf[g:g + 512].reshape(-1), ks[g:g + 512]
-        u = _uniform_runs(rngs[g:g + 512], k)
-        keys = np.empty(c.size + u.size, dtype=np.uint64)
-        for b in range(0, c.size, _BLOCK):  # block-sized temporaries, not an M-sized one
+    cdf = held.pop()
+    shape, counts = cdf.shape, None
+    for g in range(0, shape[0], 512):
+        size, k = cdf[g:g + 512].size, np.asarray(ks[g:g + 512])
+        keys = np.empty(size + sum(ks[g:g + 512]), dtype=np.uint64)
+        c = cdf[g:g + 512].reshape(-1)
+        for b in range(0, size, _BLOCK):  # block-sized temporaries, not an M-sized one
             x = c[b:b + _BLOCK] * 2.0**53
             np.multiply(np.ceil(x, out=x), 2.0, out=keys[b:b + x.size], casting="unsafe")
-        np.multiply(u, 2.0**54, out=keys[c.size:], casting="unsafe")
-        del x, u  # released before the sort and the readout
-        keys[c.size:] |= np.uint64(1)
+            del x  # before the next block's
+        if g + 512 >= shape[0]:
+            del cdf, c  # their last keys are written: freed before the draws
+        u = _uniform_runs(rngs[g:g + 512], k)
+        np.multiply(u, 2.0**54, out=keys[size:], casting="unsafe")
+        del u  # freed before the sort and the counts
+        keys[size:] |= np.uint64(1)
         if k.size > 1:
             offsets = np.arange(k.size, dtype=np.uint64) << np.uint64(55)
-            keys[:c.size] += np.repeat(offsets, cdf.shape[1])
-            keys[c.size:] += np.repeat(offsets, k)
+            keys[:size] += np.repeat(offsets, shape[1])
+            keys[size:] += np.repeat(offsets, k)
         keys.sort()
-        keys &= np.uint64(1)
-        cum = (keys == 0).nonzero()[0]
+        if counts is None:
+            counts = np.empty(shape, dtype=np.int64)
+        out, done, last = counts[g:g + 512].reshape(-1), 0, -1
+        for b in range(0, keys.size, _BLOCK):
+            block = keys[b:b + _BLOCK]
+            block &= np.uint64(1)
+            at = (block == 0).nonzero()[0]  # the even keys' places: a bool's nonzero is fastest
+            if at.size:  # the keys between two even keys are the later one's draws
+                out[done] = at[0] + (b - last - 1)
+                gaps = out[done + 1:done + at.size]
+                np.subtract(at[1:], at[:-1], out=gaps)
+                gaps -= 1
+                done, last = done + at.size, b + at[-1]
+            del at  # before the next block's
         del keys
-        cum -= np.arange(c.size)
-        if counts is None:  # after the readout: the counts never meet the keys of one group
-            counts = np.empty(cdf.shape, dtype=np.int64)
-        out = counts[g:g + 512].reshape(-1)
-        out[0] = cum[0]
-        np.subtract(cum[1:], cum[:-1], out=out[1:])
     return counts
 
 
 def _multinomial_rows(rows: _Rows, rngs) -> np.ndarray:
-    cdf, n = rows.cdf, rows.n
+    held, n = [rows.cdf], rows.n
     del rows  # see _one_row
-    return _draw_counts(cdf, np.full(len(rngs), n), rngs)
+    return _draw_counts(held, (n,) * len(rngs), rngs)
 
 
 def multinomial_resample(p, n, rng: RngStream) -> Allocation:
@@ -159,7 +175,7 @@ def _systematic_counts(cdf: np.ndarray, n: int, u: np.ndarray) -> np.ndarray:
 
     Grid point (u + i)/n lies below cdf[m] for i < n*cdf[m] - u, so the
     cumulative counts are ceil(n*cdf - u): whole floats in [0, n], built and
-    differenced 2**15 values at a time. When u is within an ulp of 1, n - u
+    differenced 2**14 values at a time. When u is within an ulp of 1, n - u
     rounds down to n - 1 (top), so where cdf is 1 they are set to n: the
     row's total stays exact and its trailing zero weights get no copy.
     """
@@ -167,7 +183,7 @@ def _systematic_counts(cdf: np.ndarray, n: int, u: np.ndarray) -> np.ndarray:
     top = np.ceil(n - u) < n
     fix = top.any()
     counts = np.empty(cdf.shape, dtype=np.int64)
-    step, before = max(1, _BLOCK // len(cdf)), 0.0
+    step, before = max(1, _BLOCK // 2 // len(cdf)), 0.0
     cum = np.empty((len(cdf), min(step, cdf.shape[1])))
     for b in range(0, cdf.shape[1], step):
         c = cdf[:, b:b + step]
@@ -195,9 +211,9 @@ def _residual_rows(rows: _Rows, rngs) -> np.ndarray:
     floors, surplus = rows.floors
     if not any(surplus):  # nothing to draw, and no residual CDF to build
         return floors.copy()
-    cdf = rows.residual_cdf
+    held = [rows.residual_cdf]
     del rows  # see _one_row
-    counts = _draw_counts(cdf, np.array(surplus), rngs)
+    counts = _draw_counts(held, surplus, rngs)
     counts += floors
     return counts
 
@@ -220,6 +236,8 @@ def sampling_variance(c, w):
         w = _real_array(w, "weights must be real numbers")
         if c.shape != np.shape(w):
             raise ValidationError(f"shape mismatch: {c.shape} counts vs {np.shape(w)} weights")
+        if not c.shape[1]:  # as mse refuses one empty count vector
+            raise ValidationError(f"count rows must be non-empty, got shape {c.shape}")
         d = c - c.sum(axis=1, keepdims=True) * w
         return np.add.reduce(d * d, axis=1) / d.shape[1]  # np.mean, without its dispatch
     return mse(c, w)

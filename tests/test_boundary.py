@@ -141,6 +141,10 @@ CASES = [
      "weights must be real numbers"),
     ("sampling_variance str count rows",
      lambda: sampling_variance(np.array([["1", "1"]]), [HALF]), "counts must be real numbers"),
+    # the mean over no columns was nan, through a RuntimeWarning
+    ("sampling_variance empty count rows",
+     lambda: sampling_variance(np.zeros((2, 0), int), np.zeros((2, 0))),
+     r"count rows must be non-empty, got shape \(2, 0\)"),
     ("residual unit lost near 2**53", lambda: RESAMPLERS["residual"](*LOST_UNIT, RngStream(0)),
      "n = 8443287019856399 is past float precision for these weights: the floors leave 1 "
      "units, and every residual rounds to 0"),

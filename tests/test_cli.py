@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -272,6 +273,29 @@ class TestBenchmarkCommand:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env=os.environ | {"PYTHONPATH": src})
         assert done.stdout == "0 False\n"
+
+    def test_aggregate_naming_the_records_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the aggregate used to replace the records, with exit 0
+        monkeypatch.chdir(tmp_path)
+        for agg in ("x.csv", str(tmp_path / "x.csv"), "sub/../x.csv"):
+            code, out, err = run(["benchmark", "--runs", "1", "--steps", "2", "--particles",
+                                  "3", "--output", "x.csv", "--aggregate", agg], capsys)
+            assert code == EXIT_VALIDATION, agg
+            assert out == "" and err.count("\n") == 1 and "one file" in err
+            assert not (tmp_path / "x.csv").exists()
+
+    def test_records_stream_run_by_run(self, tmp_path):
+        # the records were joined into one text first: 22.4 MiB traced at 200 runs
+        out = tmp_path / "r.csv"
+        assert main(["benchmark", "--runs", "1", "--output", str(out)]) == EXIT_OK
+        tracemalloc.start()
+        try:
+            code = main(["benchmark", "--runs", "200", "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 8 * 2**20, peak / 2**20
 
     def test_aggregate_msv_is_minimum(self, tmp_path):
         out = tmp_path / "r.csv"

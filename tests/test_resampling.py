@@ -755,9 +755,78 @@ def test_readouts_agree_across_the_rule(m, k):
         coarse = g.integers(0, 17, k) / 16.0
         coarse[coarse == 1.0] = 1 - 2**-53
         for u in (RngStream(k).next_uniforms(k), coarse):
-            keyed = _draw_counts(cdf.copy()[None], np.array([k]), [FixedStream(u)])
+            keyed = _draw_counts([cdf.copy()[None]], np.array([k]), [FixedStream(u)])
             assert np.array_equal(keyed[0], np.diff(search_cum(cdf, u), prepend=0)), kind
             assert keyed.dtype == np.int64
+
+
+@pytest.mark.parametrize("below", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK])
+def test_keyed_readout_across_block_edges(below):
+    # CDF [1/2, 1]: the key of 1/2 sorts after the draws below it, so it
+    # falls last in a block, first in the next, or past one or more blocks
+    # that hold no CDF key at all
+    cdf = np.array([0.5, 1.0])
+    for k in (below, below + 2, 4 * _BLOCK):
+        u = np.where(np.arange(k) < below, 0.25, 0.75)  # on the uniforms' 2**-53 grid
+        keyed = _draw_counts([cdf[None].copy()], np.array([k]), [FixedStream(u)])[0]
+        assert np.array_equal(keyed, np.diff(search_cum(cdf, u), prepend=0)), k
+        assert keyed.tolist() == [min(below, k), k - min(below, k)]
+
+
+def test_keyed_readout_of_a_block_with_no_cdf_key():
+    # one bin takes more than 2**15 draws, with many bins around it
+    m = 3000
+    raw = np.full(m, 1.0)
+    raw[m // 2] = 4 * m
+    cdf = _cdf(np.cumsum(raw / raw.sum()))
+    u = RngStream(9).next_uniforms(5 * _BLOCK)
+    keyed = _draw_counts([cdf[None].copy()], np.array([u.size]), [FixedStream(u)])[0]
+    assert keyed[m // 2] > _BLOCK
+    assert np.array_equal(keyed, np.diff(search_cum(cdf, u), prepend=0))
+
+
+@pytest.mark.parametrize("r", [5, 513], ids=["one group", "two groups"])
+def test_keyed_readout_of_rows_with_mixed_draws(r):
+    # rows that draw nothing between rows that draw up to two blocks, in one
+    # sort group of 512 rows and across two
+    g = np.random.default_rng(r)
+    m = 40
+    cdf = np.array([_cdf(np.cumsum(w / w.sum())) for w in g.lognormal(0.0, 2.0, (r, m))])
+    ks = g.integers(0, 3, r) * g.integers(0, 2 * _BLOCK // r + 50, r)
+    ks[[0, r // 2, -1]] = [0, 0, 2 * _BLOCK + 3]
+    seeds = g.integers(0, 2**62, r)
+    keyed = _draw_counts([cdf.copy()], ks, [RngStream(int(s)) for s in seeds])
+    for row, c, k, s in zip(keyed, cdf, ks, seeds):
+        u = RngStream(int(s)).next_uniforms(int(k))
+        assert np.array_equal(row, np.diff(search_cum(c, u), prepend=0)), k
+    assert keyed.dtype == np.int64 and keyed.shape == (r, m)
+
+
+# the most M-sized arrays one call on a raw weight array may hold at once, at
+# M = n = 2**18, in units of one float64 array of M, block-sized buffers
+# included: multinomial's keys of M CDF values and n draws, beside them the
+# CDF, the draws or the counts; residual's floors and keys of M residual CDF
+# values and its draws, beside them the residual CDF or the counts; msv's
+# floors, residuals and its selection's copy; systematic's CDF and counts
+CALL_ARRAYS = {"multinomial": 3.25, "residual": 3.75, "systematic": 2.1, "rsr": 2.1,
+               "msv": 3.1}
+
+
+@pytest.mark.parametrize("sigma", [0.1, 3.0], ids=["near-uniform", "heavy-tailed"])
+@pytest.mark.parametrize("name", RESAMPLERS)
+def test_one_call_frees_each_array_once_read(name, sigma):
+    m = 2**18
+    raw = np.random.default_rng(7).lognormal(0.0, sigma, m)
+    raw /= raw.sum()
+    RESAMPLERS[name](raw, m, RngStream(5))
+    tracemalloc.start()
+    try:
+        counts = RESAMPLERS[name](raw, m, RngStream(5)).sizes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == m
+    assert peak <= CALL_ARRAYS[name] * 8 * m, peak / (8 * m)
 
 
 def test_largest_uniform_skips_trailing_zero_weight_on_merged_readout():
