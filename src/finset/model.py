@@ -119,7 +119,7 @@ class BenchmarkResult:
 
 def state_transition(x_prev, t, u, params: ModelParams = ModelParams()):
     """Propagate the state one step; works elementwise on arrays."""
-    return 1.0 + np.sin(params.omega * np.pi * t) + params.phi1 * x_prev + u
+    return 1.0 + np.sin(params.omega * np.pi * t) + params.phi1 * np.asarray(x_prev) + u
 
 
 def measurement(x, t, v, params: ModelParams = ModelParams()):

@@ -89,11 +89,6 @@ class WeightVector:
     def __len__(self):
         return self.weights.size
 
-    @cached_property
-    def cdf(self) -> np.ndarray:
-        """The weights' running sums as a CDF (see ``_cdf``); built once, read-only."""
-        return _frozen(_cdf(self.weights.cumsum()))
-
 
 def _cdf(running: np.ndarray) -> np.ndarray:
     """Turn running sums of nonnegative mass, or (R, M) rows of them, into CDFs, in place.
@@ -122,23 +117,21 @@ class _Rows:
     """R rows of weights at n units, and the split of each that the row kernels read.
 
     ``weights`` is (R, M), each row as WeightVector stores it; one caller's
-    WeightVector gives R = 1 and shares its cached ``cdf``. Each part is
+    population is the one row ``WeightVector.weights[None]``. Each part is
     built for every row at once, row r as that row alone would give it, and
     only when read: at M = 1e6 one costs about what a whole systematic call
     does. The parts read by more than one caller are cached read-only.
     """
 
-    def __init__(self, weights, n: int):
-        self._population = weights if isinstance(weights, WeightVector) else None
-        self.weights = weights if self._population is None else weights.weights[None]
-        self.n = n
+    def __init__(self, weights: np.ndarray, n: int):
+        self.weights, self.n = weights, n
 
     @cached_property
     def cdf(self) -> np.ndarray:
         """The running sums of each row as a CDF (see ``_cdf``)."""
-        if self._population is not None:
-            return self._population.cdf[None]
-        return _frozen(_cdf(self.weights.cumsum(axis=1)))
+        running = self.weights.cumsum(axis=1)
+        _cdf(running[0] if len(running) == 1 else running)  # one row: one search
+        return _frozen(running)
 
     @cached_property
     def floors(self) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -182,10 +175,10 @@ class _Rows:
 
     def populations(self) -> list[WeightVector]:
         """Each row as a WeightVector of its own, for a scheme with no row
-        kernel: views of its weights and CDF, bit for bit the stored row."""
+        kernel: a view of its weights, bit for bit the stored row."""
         each = [object.__new__(WeightVector) for _ in self.weights]
-        for wv, w, c in zip(each, self.weights, self.cdf):
-            vars(wv).update(weights=w, cdf=c)
+        for wv, w in zip(each, self.weights):
+            vars(wv)["weights"] = w
         return each
 
 
@@ -302,13 +295,13 @@ def lmse_partition(w, n) -> Allocation:
     bit-reproducible. O(M): a selection finds the surplus-th largest residual.
     """
     n = _check_n(n)
-    # handed over, not kept: _lmse_rows frees a WeightVector built here once it is read
-    return Allocation._trusted(_lmse_rows(_Rows(as_weights(w), n))[0], n)
+    # handed over, not kept: _lmse_rows frees weights built here once it has read them
+    return Allocation._trusted(_lmse_rows(_Rows(as_weights(w).weights[None], n))[0], n)
 
 
 def residuals(w, n) -> ResidualVector:
     """Fractional residuals w[m] - Floor(n*w[m])/n."""
-    return ResidualVector(_Rows(as_weights(w), _check_n(n)).residuals()[0])
+    return ResidualVector(_Rows(as_weights(w).weights[None], _check_n(n)).residuals()[0])
 
 
 def _discrepancy(a, w) -> np.ndarray:

@@ -79,7 +79,9 @@ ResampleCounts = as_allocation
 
 
 def msv_resample(p, n, rng: RngStream | None = None) -> Allocation:
-    """Minimum-sampling-variance resampling; deterministic, rng untouched."""
+    """Minimum-sampling-variance resampling; deterministic, rng (if any) untouched."""
+    if rng is not None:
+        _check_type("rng", rng, RngStream)
     # the weights as given: a WeightVector built of them belongs to the rows alone
     return lmse_partition(p.weights if isinstance(p, ParticleSet) else p, n)
 
@@ -89,7 +91,7 @@ def _one_row(kernel, p, n, rng) -> Allocation:
     n = _check_n(n)
     _check_type("rng", rng, RngStream)
     # handed over, not kept: a kernel that drops the rows frees their weights
-    return Allocation._trusted(kernel(_Rows(_weights_of(p), n), (rng,))[0], n)
+    return Allocation._trusted(kernel(_Rows(_weights_of(p).weights[None], n), (rng,))[0], n)
 
 
 def _draw_counts(held: list, ks, rngs) -> np.ndarray:
@@ -228,11 +230,13 @@ def sampling_variance(c, w):
 
     Given an (R, M) integer array of count rows and an (R, M) array of the
     weight rows they were drawn from, returns the R row variances, with n the
-    row's sum. Both must hold real numbers; the rows are used as given, not
-    copied and not renormalised.
+    row's sum. Both must hold real numbers, as arrays or nested sequences; the
+    rows are used as given, not copied and not renormalised.
     """
-    if isinstance(c, np.ndarray) and c.ndim == 2:
-        c = _real_array(c, "counts must be real numbers")
+    if isinstance(c, Allocation):
+        return mse(c, w)
+    c = _real_array(c, "counts must be real numbers, in one vector or in (R, M) rows")
+    if c.ndim == 2:
         w = _real_array(w, "weights must be real numbers")
         if c.shape != np.shape(w):
             raise ValidationError(f"shape mismatch: {c.shape} counts vs {np.shape(w)} weights")

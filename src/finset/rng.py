@@ -79,8 +79,12 @@ class RngStream:
         return out
 
     def spawn(self, key: int) -> "RngStream":
-        """Derive an independent child stream from this stream's seed."""
+        """Derive an independent child stream from this stream's seed; key is in [0, 2**64 - 2]."""
         key = _integer("key", key)  # as for seed, a float key would be truncated
+        # golden is odd, so these keys give distinct children; key + 1 = 2**64 would
+        # mix the seed alone, and seed 0 is a fixed point of the mix: the parent itself
+        if not 0 <= key < _MASK:
+            raise ValidationError(f"key must be an integer in [0, 2**64 - 2], got {key}")
         child = _mix((self.seed ^ _mix((key + 1) * _GOLDEN & _MASK)) & _MASK)
         return RngStream(child)
 
@@ -116,8 +120,8 @@ class _Streams:
         return start
 
     def each(self, draw):
-        """draw(gs), gs the rows as RngStreams at their counts; the rows move on as they did."""
-        gs = self._owners or tuple(map(RngStream, self.seeds.tolist()))
+        """draw(gs), gs these spawned rows as RngStreams at their counts; the rows move on too."""
+        gs = tuple(map(RngStream, self.seeds.tolist()))
         for g, c in zip(gs, self.counts.tolist()):
             g._count = c
         out = draw(gs)
@@ -158,12 +162,10 @@ def uniform_rows(rngs, k: int) -> np.ndarray:
         return rngs.next_uniforms(k)[None]
     start = rngs._advance(k)[:, None]
     out = np.empty((len(rngs), k))
-    if max(out.size, k) <= _BLOCK:  # measured: a one-block loop costs about 3 us more
-        _mix_into(np.add(start, _STEPS[:k]), out)
-        return out
     # whole rows per block while they fit, else one row in column chunks
-    rows, cols = max(1, _BLOCK // k), min(k, _BLOCK)
-    z = np.empty(rows * cols, dtype=np.uint64)
+    cols = min(k, _BLOCK) or 1
+    rows = _BLOCK // cols
+    z = np.empty(min(rows, len(rngs)) * cols, dtype=np.uint64)
     for c in range(0, k, cols):
         first = start + np.uint64(c * _GOLDEN & _MASK)
         for r in range(0, len(rngs), rows):

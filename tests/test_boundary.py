@@ -31,6 +31,7 @@ from finset import (
     sampling_variance,
     simulate_truth,
     sir_step,
+    state_transition,
 )
 from finset.rng import uniform_rows
 
@@ -97,6 +98,13 @@ CASES = [
       for name, f in RESAMPLERS.items() if name != "msv"],  # msv draws nothing
     ("systematic int rng", lambda: RESAMPLERS["systematic"](HALF, 4, 3),
      "rng must be an instance of RngStream, not int"),
+    # msv draws nothing, but took any rng: a str gave counts
+    ("msv str rng", lambda: RESAMPLERS["msv"](HALF, 4, "x"),
+     "rng must be an instance of RngStream, not str"),
+    # key + 1 wrapped mod 2**64: -1 replayed RngStream(0) and 2**64 gave key 0's child
+    *[(f"spawn key {name}", lambda key=key: RngStream(0).spawn(key),
+       rf"key must be an integer in \[0, 2\*\*64 - 2\], got {key}")
+      for name, key in [("-1", -1), ("2**64 - 1", 2**64 - 1), ("2**64", 2**64)]],
     ("sir_step list p", lambda: sir_step([0.0, 1.0], 0.5, 3, "msv", RngStream(0)),
      "p must be an instance of ParticleSet, not list"),
     ("sir_step int rng", lambda: _sir(rng=7), "rng must be an instance of RngStream, not int"),
@@ -141,6 +149,10 @@ CASES = [
      "weights must be real numbers"),
     ("sampling_variance str count rows",
      lambda: sampling_variance(np.array([["1", "1"]]), [HALF]), "counts must be real numbers"),
+    # nested-list rows took the one-vector path, whose message named 1-d sizes
+    ("sampling_variance ragged count rows",
+     lambda: sampling_variance([[1, 1], [2]], [HALF, HALF]),
+     r"counts must be real numbers, in one vector or in \(R, M\) rows"),
     # the mean over no columns was nan, through a RuntimeWarning
     ("sampling_variance empty count rows",
      lambda: sampling_variance(np.zeros((2, 0), int), np.zeros((2, 0))),
@@ -171,6 +183,15 @@ WORKS = [  # (id, call on the unusual input, the same call on the usual one)
                       ("gammas integer shape", lambda rngs: gammas(rngs, 3, 2.0, 2)),
                       ("gammas fractional shape", lambda rngs: gammas(rngs, 2.5, 2.0, 2)),
                       ("simulate_truth", lambda rngs: np.array(simulate_truth(2, rngs)))]],
+    # nested-list count rows took the one-vector path and were refused
+    ("sampling_variance nested-list rows",
+     lambda: sampling_variance([[1, 1], [2, 0]], [HALF, HALF]),
+     lambda: sampling_variance(np.array([[1, 1], [2, 0]]), np.array([HALF, HALF]))),
+    ("msv None rng", lambda: RESAMPLERS["msv"](HALF, 4, None).sizes,
+     lambda: RESAMPLERS["msv"](HALF, 4, RngStream(0)).sizes),
+    # a list times a float raised a bare TypeError
+    ("state_transition list", lambda: state_transition([0.0, 1.0], 1, 0.0),
+     lambda: state_transition(np.array([0.0, 1.0]), 1, 0.0)),
     # one bin has one composition for any n, but it was built as int32
     ("brute_force_partition one bin at 2**31",
      lambda: brute_force_partition([1.0], 2**31)[0].sizes, lambda: np.array([2**31])),

@@ -10,6 +10,7 @@ from finset.partition import (
     WeightVector,
     _cdf,
     _Rows,
+    as_weights,
     brute_force_partition,
     check_local_optimality,
     check_theory1_bound,
@@ -38,6 +39,11 @@ from finset.rng import _BLOCK, RngStream
 def pset(weights):
     w = WeightVector(weights)
     return ParticleSet(np.arange(len(w), dtype=float), w)
+
+
+def cdf_of(weights):
+    """The CDF the schemes read for weights: their stored running sums through _cdf."""
+    return _cdf(np.cumsum(as_weights(weights).weights))
 
 
 def at_offset(kernel, cdf, n, u):
@@ -141,12 +147,12 @@ class TestMultinomial:
 
 class TestSystematic:
     def test_forced_offset_zero_even_split(self):
-        counts = at_offset(_systematic_counts, WeightVector([0.5, 0.5]).cdf, 2, 0.0)
+        counts = at_offset(_systematic_counts, cdf_of([0.5, 0.5]), 2, 0.0)
         assert list(counts) == [1, 1]
 
     def test_forced_offset_zero_three_bins(self):
         # grid {0,.2,.4,.6,.8} against CDF breaks {0.46, 0.80, 1.0}
-        counts = at_offset(_systematic_counts, WeightVector([0.46, 0.34, 0.20]).cdf, 5, 0.0)
+        counts = at_offset(_systematic_counts, cdf_of([0.46, 0.34, 0.20]), 5, 0.0)
         assert list(counts) == [3, 1, 1]
 
     def test_single_particle(self):
@@ -160,7 +166,7 @@ class TestSystematic:
     def test_largest_offset_keeps_m_counts(self):
         # 1 - 2**-53 is the largest uniform RngStream emits; there the last
         # grid point (u + n - 1)/n rounds to 1.0, past every CDF entry
-        counts = at_offset(_systematic_counts, WeightVector([0.46, 0.34, 0.20]).cdf, 5,
+        counts = at_offset(_systematic_counts, cdf_of([0.46, 0.34, 0.20]), 5,
                            1 - 2**-53)
         assert len(counts) == 3
         assert counts.sum() == 5
@@ -171,7 +177,7 @@ class TestSystematic:
         # sums end an ulp short of 1
         w = WeightVector(weights)
         for kernel in (_systematic_counts, _rsr_counts):
-            counts = at_offset(kernel, w.cdf, 2, 1 - 2**-53)
+            counts = at_offset(kernel, cdf_of(w), 2, 1 - 2**-53)
             assert counts.sum() == 2
             assert np.all(counts[w.weights == 0.0] == 0), kernel.__name__
 
@@ -210,12 +216,12 @@ class TestRsr:
         assert list(rsr_resample(pset([1.0]), 5, RngStream(2)).sizes) == [5]
 
     def test_forced_offset_quarter(self):
-        assert list(at_offset(_rsr_counts, WeightVector([0.5, 0.5]).cdf, 2, 0.25)) == [1, 1]
+        assert list(at_offset(_rsr_counts, cdf_of([0.5, 0.5]), 2, 0.25)) == [1, 1]
 
     def test_matches_systematic_at_same_offset(self):
         w = WeightVector([0.46, 0.34, 0.20])
-        assert list(at_offset(_rsr_counts, w.cdf, 5, 0.0)) == list(
-            at_offset(_systematic_counts, w.cdf, 5, 0.0)
+        assert list(at_offset(_rsr_counts, cdf_of(w), 5, 0.0)) == list(
+            at_offset(_systematic_counts, cdf_of(w), 5, 0.0)
         )
 
     def test_consumes_one_uniform(self):
@@ -358,7 +364,7 @@ def test_running_sums_above_one_still_give_valid_counts():
     p = ParticleSet(np.arange(len(w), dtype=float), w)
     for n in (len(w), 7, 1000):
         results = {name: fn(p, n, RngStream(n)) for name, fn in RESAMPLERS.items()}
-        at_zero = at_offset(_systematic_counts, w.cdf, n, 0.0)
+        at_zero = at_offset(_systematic_counts, cdf_of(w), n, 0.0)
         results["systematic at offset 0"] = Allocation(at_zero)
         for name, c in results.items():
             assert len(c) == len(w), name
@@ -494,16 +500,14 @@ def test_one_weight_vector_serves_every_scheme(m):
     raw = np.random.default_rng(m).lognormal(0.0, 2.0, m)
     raw /= raw.sum()
     w = WeightVector(raw)
-    weights, cdf = w.weights.copy(), w.cdf.copy()
+    weights = w.weights.copy()
     for name, fn in RESAMPLERS.items():
         rng, raw_rng = RngStream(3), RngStream(3)
         assert np.array_equal(fn(w, m, rng).sizes, fn(raw, m, raw_rng).sizes), name
         assert rng.draws == raw_rng.draws, name
-    # the CDF is built once, then only read, by every scheme
-    assert w.cdf is w.cdf
-    assert np.array_equal(w.weights, weights) and np.array_equal(w.cdf, cdf)
-    assert not w.weights.flags.writeable and not w.cdf.flags.writeable
-    assert np.array_equal(w.cdf, _cdf(np.cumsum(weights)))
+    # every scheme only reads the weights
+    assert np.array_equal(w.weights, weights)
+    assert not w.weights.flags.writeable
 
 
 def fuzz_rows(g, m, n):
@@ -543,8 +547,7 @@ def test_weight_rows_equal_one_row_each(m, n):
                               for s in _Rows(stored[r:r + 1], n).floors[1])
     for r, (w, wv) in enumerate(zip(stored, rows.populations())):
         assert wv.weights is not w and same(wv.weights, w)
-        assert same(wv.cdf, _cdf(np.cumsum(w)))  # the one-row search
-        assert same(rows.cdf[r], wv.cdf)
+        assert same(rows.cdf[r], _cdf(np.cumsum(w)))  # the one-row search
         one = _Rows(stored[r:r + 1], n)  # the row alone, and the arithmetic of one row
         for part, got in zip(parts + (all_res,), (one.cdf, one.floors[0], one.residual_cdf,
                                                   one.residuals())):
@@ -645,7 +648,7 @@ def test_blocked_systematic_counts_match_one_pass(m, u):
     # counts of the bins whose CDF is 1 must be 0 in every block
     raw = np.random.default_rng(m).lognormal(0.0, 1.0, m)
     raw[m - _BLOCK // 2 - 7:] = 0.0
-    cdf = WeightVector(raw / raw.sum()).cdf
+    cdf = cdf_of(raw / raw.sum())
     for n in (m, 3 * m + 1, 17):
         cum = np.ceil(cdf * n - u)
         if np.ceil(n - u) < n:

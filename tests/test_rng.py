@@ -278,6 +278,17 @@ def test_spawn_key_must_be_an_integer():
     assert RngStream(5).spawn(np.int64(2)).seed == RngStream(5).spawn(2).seed
 
 
+def test_spawn_keys_at_the_ends_of_their_range():
+    # the first and last keys give children distinct from the parent and each other
+    last = 2**64 - 2
+    for seed in (0, 5):
+        parent = RngStream(seed)
+        children = [parent.spawn(0), parent.spawn(1), parent.spawn(last), parent.spawn(last - 1)]
+        seeds = {parent.seed} | {g.seed for g in children}
+        assert len(seeds) == 5, seed
+    assert RngStream(0).spawn(last).seed == 16069497699472406328  # as before the range
+
+
 def test_uniform_rows_of_no_streams():
     for k in (0, 5, 2**15 + 1):
         assert uniform_rows([], k).shape == (0, k)
