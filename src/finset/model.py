@@ -12,13 +12,13 @@ scheme attains. A designated baseline scheme (systematic by default)
 advances the shared population, so every scheme sees bit-identical inputs.
 
 All runs step together as the rows of (runs, particles) arrays, each run
-with its own streams, held as stream rows (``rng._Streams``), so every
-value is the one a run stepped alone would give; ``sir_step`` is that step
-for one run. Each step splits the runs'
-weights once (``partition._Rows``), and each scheme's row kernel resamples
-every run in one call. ``RESAMPLERS`` is the extension point: an entry
-replaced by another function is called once per run, with that run's
-population and stream. ``run_benchmark`` returns (runs, steps) columns.
+with its own stream rows (``rng._Streams``), so every value is the one a run
+stepped alone would give; ``sir_step`` is that step for one run. Each step
+splits the runs' weights once (``partition._Rows``), each scheme's row kernel
+resamples every run in one call, and its sampling variance is taken at once.
+``RESAMPLERS`` is the extension point: an entry replaced by another function
+is called once per run, with that run's population and stream, and must
+return M counts summing to n. ``run_benchmark`` returns (runs, steps) columns.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import ValidationError, _check_n, _Rows
-# counts_to_indices is not called here, but finbench's tracer wraps it by this name
-from .resampling import (_ROW_KERNELS, RESAMPLERS, ParticleSet, counts_to_indices,
+# counts_to_indices and sampling_variance are not called here; finbench's tracer wraps them
+from .resampling import (_ROW_KERNELS, RESAMPLERS, ParticleSet, _sv, counts_to_indices,
                          sampling_variance)
 from .rng import RngStream, _check_type, _finite, _integer, _stream_rows, _Streams, gammas, normals
 
@@ -148,46 +148,57 @@ def _collapse(t, run=None) -> ParticleCollapseError:
 def _step(states, prior, y_obs, t, rngs, params, n, schemes, advance):
     """One SIR step of the R runs in the rows of (R, M) states and prior weights.
 
-    Row r draws from rngs[r] and is weighed against y_obs[r]. The rows before
-    the first collapsed one are resampled at n units by each (method, streams)
-    of schemes; with advance, the last scheme's counts copy the states.
-    Returns the states, their weights, the weights as WeightVector would
-    store them, the weighted-mean estimates and each scheme's counts.
+    The prior may be an (R, 1) column of equal weights. Row r draws from rngs[r]
+    and is weighed against y_obs[r]. The rows before the first collapsed one are
+    resampled at n units by each (method, streams) of schemes; with advance, the
+    last scheme's counts copy the states, whose prior is then a column of 1/n.
+    Returns the states, their weights, the estimates and each scheme's R svs.
     """
     noise = gammas(rngs, params.gamma_shape, params.gamma_scale, states.shape[1])
     states = state_transition(states, t, noise, params)
+    del noise
     with np.errstate(divide="ignore", over="ignore"):  # log(0) and d*d -> -inf
-        logw = np.log(prior) + _log_likelihood(y_obs[:, None], states, t, params)
-    top = np.max(logw, axis=1, keepdims=True)
+        w = _log_likelihood(y_obs[:, None], states, t, params)  # the log weights, at first
+        w += np.log(prior)
+    top = np.max(w, axis=1, keepdims=True)
     collapsed = np.flatnonzero(~np.isfinite(top[:, 0]))
     live = int(collapsed[0]) if collapsed.size else len(states)
-    states, logw, top = states[:live], logw[:live], top[:live]
+    states, w = states[:live], w[:live]
     # no log weight is nan or +inf once the largest is finite, so the shifted
     # weights hold a 1 and their total is finite and at least 1
-    w = np.exp(logw - top)
-    w = w / w.sum(axis=1, keepdims=True)
-    stored = w / w.sum(axis=1, keepdims=True)  # WeightVector's renormalisation
+    np.exp(np.subtract(w, top[:live], out=w), out=w)
+    w /= w.sum(axis=1, keepdims=True)
     # stacked matmul is bit-equal to one BLAS dot per row
     estimates = np.matmul(states[:, None, :], w[:, :, None])[:, 0, 0]
+    # WeightVector's renormalisation, in place when w is not returned
+    stored = np.divide(w, w.sum(axis=1, keepdims=True), out=w if advance else None)
     states.flags.writeable = stored.flags.writeable = False
     if not live:
-        return states, w, stored, estimates, []
-    rows, counts = _Rows(stored, n), []
+        return states, w, estimates, []
+    rows, nw, svs, m = _Rows(stored, n), n * stored, [], states.shape[1]
     for method, streams in schemes:
+        counts = None  # the last scheme's are freed before this one draws
         fn, streams = RESAMPLERS[method], streams[:live]
         # one row-kernel call; an entry replaced by another function is called
         # per row, as for one run (found by identity: it need not be hashable)
         kernel = next((k for f, k in _ROW_KERNELS.items() if f is fn), None)
         if kernel is None:
             psets = map(ParticleSet._trusted, states, rows.populations())
-            draw = lambda gs: np.array([fn(p, n, g).sizes for p, g in zip(psets, gs)])
-            counts.append(streams.each(draw) if isinstance(streams, _Streams) else draw(streams))
+            draw = lambda gs: [fn(p, n, g).sizes for p, g in zip(psets, gs)]
+            counts = streams.each(draw) if isinstance(streams, _Streams) else draw(streams)
+            for r, c in enumerate(counts):  # sv is measured at n: M counts must sum to it
+                if np.shape(c) != (m,) or np.sum(c) != n:
+                    raise ValidationError(f"{method} returned {np.size(c)} counts summing to "
+                                          f"{np.sum(c)} for run {r} at step {t}; M = {m}, n = {n}")
+            counts = np.array(counts)
         else:
-            counts.append(kernel(rows, streams))
+            counts = kernel(rows, streams)
+        svs.append(_sv(counts, nw))
+    del rows, nw, stored  # their arrays are freed before the gather
     if advance:
-        copies = np.repeat(np.arange(states.size), counts[-1].ravel())
-        states, w = states.ravel()[copies].reshape(live, n), np.full((live, n), 1.0 / n)
-    return states, w, stored, estimates, counts
+        copies = np.repeat(np.arange(states.size), counts.ravel())
+        states, w = states.ravel()[copies].reshape(live, n), np.full((live, 1), 1.0 / n)
+    return states, w, estimates, svs
 
 
 def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
@@ -205,13 +216,13 @@ def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
     # a nan or infinite y_obs, or a nan t, would surface as a particle collapse
     _finite("y_obs", y_obs)
     t = _integer("t", t, 1)
-    states, weights, stored, estimates, counts = _step(
+    states, weights, estimates, svs = _step(
         p.states[None], p.weights.weights[None], np.array([y_obs], dtype=float), t,
         [rng], params, n_out, [(method, [rng])], True)
     if not estimates.size:
         raise _collapse(t)
-    sv = float(sampling_variance(counts[0], stored)[0])
-    return ParticleSet(states[0], weights[0]), float(estimates[0]), sv
+    weights = np.broadcast_to(weights[0], n_out)  # the column of 1/n, as a row
+    return ParticleSet(states[0], weights), float(estimates[0]), float(svs[0][0])
 
 
 def simulate_truth(num_steps, rng, params: ModelParams = ModelParams()):
@@ -256,12 +267,12 @@ def run_benchmark(config: BenchmarkConfig,
 
     xs, ys = simulate_truth(steps, family(0), params)
     states = normals(filter_rngs, npart)  # initial particles ~ N(0, 1)
-    weights = np.full((runs, npart), 1.0 / npart)
+    weights = np.full((runs, 1), 1.0 / npart)  # the prior as a column: equal weights
     estimates = np.empty((runs, steps))
     svs = {m: np.empty((runs, steps)) for m in config.methods}
     collapse = None
     for t in range(1, steps + 1):
-        states, weights, stored, est, counts = _step(
+        states, weights, est, step_svs = _step(
             states, weights, ys[:len(filter_rngs), t - 1], t, filter_rngs, params, npart,
             schemes, config.resample_each_step)
         live = len(est)
@@ -272,8 +283,8 @@ def run_benchmark(config: BenchmarkConfig,
                 break
             filter_rngs = filter_rngs[:live]
         estimates[:live, t - 1] = est
-        for m, c in zip(config.methods, counts):
-            svs[m][:live, t - 1] = sampling_variance(c, stored)
+        for m, sv in zip(config.methods, step_svs):  # the baseline's, last, is not recorded
+            svs[m][:live, t - 1] = sv
     if collapse is not None:
         raise collapse
 

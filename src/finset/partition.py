@@ -71,12 +71,13 @@ class WeightVector:
             weights, "weights must be real numbers").astype(float, copy=False))
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("weights must be a non-empty 1-d sequence")
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        # a nan or -inf fails the minimum, a +inf the total, which entries in [0, 2] cannot overflow
+        if (low := np.minimum.reduce(arr)) >= 0 and np.maximum.reduce(arr) <= 2:
             total = float(np.add.reduce(arr))  # what arr.sum() computes
-        # Two reductions check every entry: a nan or -inf fails the minimum,
-        # and a +inf makes the total non-finite. Only a failure scans for the
-        # first bad entry.
-        if not (np.minimum.reduce(arr) >= 0 and math.isfinite(total)):
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                total = float(np.add.reduce(arr))
+        if not (low >= 0 and math.isfinite(total)):
             for bad, what in ((~np.isfinite(arr), "non-finite"), (arr < 0, "negative")):
                 if bad.any():
                     i = int(np.flatnonzero(bad)[0])
@@ -301,7 +302,9 @@ def lmse_partition(w, n) -> Allocation:
 
 def residuals(w, n) -> ResidualVector:
     """Fractional residuals w[m] - Floor(n*w[m])/n."""
-    return ResidualVector(_Rows(as_weights(w).weights[None], _check_n(n)).residuals()[0])
+    rv = object.__new__(ResidualVector)  # on its own fresh array: no copy to make
+    vars(rv)["residuals"] = _frozen(_Rows(as_weights(w).weights[None], _check_n(n)).residuals()[0])
+    return rv
 
 
 def _discrepancy(a, w) -> np.ndarray:
@@ -327,7 +330,7 @@ def mae(a, w) -> float:
 def check_theory1_bound(a, w) -> bool:
     """True iff |size[m] - N*w[m]| < 1 strictly, for every bin."""
     d = _discrepancy(a, w)
-    return bool(np.all(np.abs(d) < 1.0))
+    return bool((np.abs(d) < 1.0).all())
 
 
 def check_local_optimality(a, w) -> bool:
@@ -343,12 +346,12 @@ def check_local_optimality(a, w) -> bool:
     if m == 1:
         return True
     # The worst receiver for donor q is the smallest d[p] with p != q: the
-    # smallest d overall, or the second smallest when q holds the smallest.
-    lo, second = np.argpartition(d, 1)[:2]
+    # smallest d overall, or the smallest of the others when q holds it.
+    lo = int(d.argmin())
     worst = np.full(m, d[lo])
-    worst[lo] = d[second]
+    worst[lo] = min(d[:lo].min(initial=np.inf), d[lo + 1:].min(initial=np.inf))
     delta = (2.0 / m) * (1.0 + worst - d)
-    return bool(np.all(delta[av.sizes >= 1] > -LOCAL_OPTIMALITY_TOL))
+    return bool((delta[av.sizes >= 1] > -LOCAL_OPTIMALITY_TOL).all())
 
 
 def _compositions(n: int, m: int, memo: dict) -> np.ndarray:

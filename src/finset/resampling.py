@@ -19,9 +19,9 @@ counts summing to n), which every metric takes as it is:
 Each scheme has one row kernel (``_ROW_KERNELS``): R weight rows at n units
 (a ``partition._Rows``) and R streams in, (R, M) int64 counts out, row r what
 the scheme gives that row with stream r alone. The public functions are its
-R = 1 case. Multinomial and residual count their draws with one sort of
-exact integer keys per 512 rows; systematic differences its cumulative
-counts ceil(n*cdf - u) block by block; msv is ``lmse_partition``'s rule.
+R = 1 case. Multinomial and residual count their draws by sorting each row's
+exact integer keys on its own; systematic differences its cumulative counts
+ceil(n*cdf - u) block by block; msv is ``lmse_partition``'s rule.
 
 Sampling variance is the mean squared discrepancy between counts and their
 real-valued expectations n*w, identical to the partition MSE metric.
@@ -35,7 +35,7 @@ import numpy as np
 
 from .partition import (Allocation, ValidationError, WeightVector, as_allocation, as_weights,
                         _check_n, _lmse_rows, _real_array, _Rows, lmse_partition, mse)
-from .rng import _BLOCK, RngStream, _check_type, _Streams, _uniform_runs
+from .rng import _BLOCK, RngStream, _check_type, _Streams, _uniform_runs, uniform_rows
 
 
 @dataclass(frozen=True, eq=False, init=False)  # as WeightVector
@@ -70,12 +70,12 @@ class ParticleSet:
         return self.states.size
 
 
-def _weights_of(p) -> WeightVector:
-    return p.weights if isinstance(p, ParticleSet) else as_weights(p)
-
-
 # An old name, for finbench's test_phantom_particle_fails_the_op_not_the_run only
 ResampleCounts = as_allocation
+
+
+def _weights_of(p) -> WeightVector:
+    return p.weights if isinstance(p, ParticleSet) else as_weights(p)
 
 
 def msv_resample(p, n, rng: RngStream | None = None) -> Allocation:
@@ -97,61 +97,57 @@ def _one_row(kernel, p, n, rng) -> Allocation:
 def _draw_counts(held: list, ks, rngs) -> np.ndarray:
     """(R, M) counts of ks[r] inverse-CDF draws from rngs[r] on CDF row r.
 
-    The (R, M) CDF rows are held's one item, taken out so that they are
-    freed once their keys are written, before the draws. A draw lands in the
-    first bin whose CDF value exceeds it, so bins 0..m hold the draws below
-    cdf[m], in any order. A uniform is j*2**-53 exactly, so u < c iff
-    j < ceil(c*2**53): the CDF values become the even keys 2*ceil(c*2**53)
-    and the draws the odd keys 2*j + 1, below 2**55. Row r of a group adds
-    r*2**55, so 512 rows fit one uint64 sort, after which the odd keys
-    before each even key are the draws of the earlier rows and of its own
-    row below it. The sorted keys are read 2**15 at a time, the odd keys
-    between two even keys written straight into the counts: beside the
-    keys, the CDF, the draws or the counts, never two of them, are alive.
+    ks is one int for every row, or R ints. A draw lands in the first bin whose
+    CDF value exceeds it; a uniform is j*2**-53 exactly, so u < c iff j <
+    ceil(c*2**53). Row r of the (R, M + max ks) keys holds the even keys
+    2*ceil(c*2**53) <= 2**54 of its CDF, the odd keys 2*j + 1 < 2**54 of its
+    draws and pads 2**54 + 1, and is sorted on its own. Read in order, the odd
+    keys before an even key are its bin's draws; a row's pads, read as the next
+    row's bin 0 draws, are taken off after. The CDF, held's one item, is freed
+    once its keys are written; the keys are read 2**15 at a time: beside them,
+    the CDF, the draws or the counts, never two of them, are alive.
     """
     cdf = held.pop()
-    shape, counts = cdf.shape, None
-    for g in range(0, shape[0], 512):
-        size, k = cdf[g:g + 512].size, np.asarray(ks[g:g + 512])
-        keys = np.empty(size + sum(ks[g:g + 512]), dtype=np.uint64)
-        c = cdf[g:g + 512].reshape(-1)
-        for b in range(0, size, _BLOCK):  # block-sized temporaries, not an M-sized one
-            x = c[b:b + _BLOCK] * 2.0**53
-            np.multiply(np.ceil(x, out=x), 2.0, out=keys[b:b + x.size], casting="unsafe")
-            del x  # before the next block's
-        if g + 512 >= shape[0]:
-            del cdf, c  # their last keys are written: freed before the draws
-        u = _uniform_runs(rngs[g:g + 512], k)
-        np.multiply(u, 2.0**54, out=keys[size:], casting="unsafe")
-        del u  # freed before the sort and the counts
-        keys[size:] |= np.uint64(1)
-        if k.size > 1:
-            offsets = np.arange(k.size, dtype=np.uint64) << np.uint64(55)
-            keys[:size] += np.repeat(offsets, shape[1])
-            keys[size:] += np.repeat(offsets, k)
-        keys.sort()
-        if counts is None:
-            counts = np.empty(shape, dtype=np.int64)
-        out, done, last = counts[g:g + 512].reshape(-1), 0, -1
-        for b in range(0, keys.size, _BLOCK):
-            block = keys[b:b + _BLOCK]
-            block &= np.uint64(1)
-            at = (block == 0).nonzero()[0]  # the even keys' places: a bool's nonzero is fastest
-            if at.size:  # the keys between two even keys are the later one's draws
-                out[done] = at[0] + (b - last - 1)
-                gaps = out[done + 1:done + at.size]
-                np.subtract(at[1:], at[:-1], out=gaps)
-                gaps -= 1
-                done, last = done + at.size, b + at[-1]
-            del at  # before the next block's
-        del keys
+    (r, m), k = cdf.shape, np.asarray(ks)
+    keys = np.empty((r, m + int(k.max())), dtype=np.uint64)
+    for b in range(0, m, step := max(1, _BLOCK // r)):  # block-sized temporaries, not M-sized
+        x = cdf[:, b:b + step] * 2.0**53
+        np.multiply(np.ceil(x, out=x), 2.0, out=keys[:, b:b + x.shape[1]], casting="unsafe")
+        del x  # before the next block's
+    del cdf  # its last keys are written: freed before the draws
+    draws = keys[:, m:]
+    if k.ndim == 0:  # every row draws k: one (R, k) block
+        np.multiply(uniform_rows(rngs, int(k)), 2.0**54, out=draws, casting="unsafe")
+    elif (u := _uniform_runs(rngs, k)).size == draws.size:  # no row is short: no pads
+        np.multiply(u.reshape(draws.shape), 2.0**54, out=draws, casting="unsafe")
+    else:
+        draws[:] = 2**54 + 1
+        draws[np.arange(draws.shape[1]) < k[:, None]] = np.multiply(u, 2.0**54, out=u)
+    u = None  # freed before the sort and the counts
+    draws |= np.uint64(1)
+    keys.sort(axis=1)
+    counts = np.empty((r, m), dtype=np.int64)
+    flat, out, done, last = keys.reshape(-1), counts.reshape(-1), 0, -1
+    for b in range(0, flat.size, _BLOCK):
+        block = flat[b:b + _BLOCK]
+        block &= np.uint64(1)
+        at = (block == 0).nonzero()[0]  # the even keys' places: a bool's nonzero is fastest
+        if at.size:  # the keys between two even keys are the later one's draws
+            out[done] = at[0] + (b - last - 1)
+            gaps = out[done + 1:done + at.size]
+            np.subtract(at[1:], at[:-1], out=gaps)
+            gaps -= 1
+            done, last = done + at.size, b + at[-1]
+        del at  # before the next block's
+    if k.ndim and r > 1:  # row r's pads were read as row r + 1's bin 0 draws
+        counts[1:, 0] -= draws.shape[1] - k[:-1]
     return counts
 
 
 def _multinomial_rows(rows: _Rows, rngs) -> np.ndarray:
     held, n = [rows.cdf], rows.n
     del rows  # see _one_row
-    return _draw_counts(held, (n,) * len(rngs), rngs)
+    return _draw_counts(held, n, rngs)
 
 
 def multinomial_resample(p, n, rng: RngStream) -> Allocation:
@@ -164,7 +160,7 @@ def _systematic_rows(rows: _Rows, rngs) -> np.ndarray:
     del rows  # see _one_row
     if len(rngs) == 1 and not isinstance(rngs, _Streams):  # one scalar draw skips the array mix
         return _systematic_counts(cdf, n, np.array([rngs[0].next_uniform()]))
-    return _systematic_counts(cdf, n, _uniform_runs(rngs, np.ones(len(rngs), dtype=np.int64)))
+    return _systematic_counts(cdf, n, uniform_rows(rngs, 1)[:, 0])
 
 
 def systematic_resample(p, n, rng: RngStream) -> Allocation:
@@ -214,7 +210,7 @@ def _residual_rows(rows: _Rows, rngs) -> np.ndarray:
     if not any(surplus):  # nothing to draw, and no residual CDF to build
         return floors.copy()
     held = [rows.residual_cdf]
-    del rows  # see _one_row
+    del rows.residual_cdf, rows  # no other scheme reads it: freed once its keys are written
     counts = _draw_counts(held, surplus, rngs)
     counts += floors
     return counts
@@ -230,8 +226,8 @@ def sampling_variance(c, w):
 
     Given an (R, M) integer array of count rows and an (R, M) array of the
     weight rows they were drawn from, returns the R row variances, with n the
-    row's sum. Both must hold real numbers, as arrays or nested sequences; the
-    rows are used as given, not copied and not renormalised.
+    row's sum. Both are real numbers, as arrays or nested sequences, each row
+    checked as one vector would be and used as given, not renormalised.
     """
     if isinstance(c, Allocation):
         return mse(c, w)
@@ -242,9 +238,25 @@ def sampling_variance(c, w):
             raise ValidationError(f"shape mismatch: {c.shape} counts vs {np.shape(w)} weights")
         if not c.shape[1]:  # as mse refuses one empty count vector
             raise ValidationError(f"count rows must be non-empty, got shape {c.shape}")
-        d = c - c.sum(axis=1, keepdims=True) * w
-        return np.add.reduce(d * d, axis=1) / d.shape[1]  # np.mean, without its dispatch
+        for r, row in enumerate(c):  # each row by the rules of one vector
+            try:
+                Allocation(row)
+            except ValidationError as e:
+                raise ValidationError(f"count row {r}: {e}") from None
+        w = w.astype(float)
+        for bad, what in ((~np.isfinite(w), "non-finite"), (w < 0, "negative")):
+            if bad.any():
+                r, i = np.argwhere(bad)[0].tolist()
+                raise ValidationError(f"{what} weight {w[r, i]} at row {r}, index {i}")
+        return _sv(c, c.sum(axis=1, keepdims=True) * w)
     return mse(c, w)
+
+
+def _sv(c: np.ndarray, nw: np.ndarray) -> np.ndarray:
+    """The R row variances of (R, M) counts c about their expectations nw = n*w."""
+    d = c - nw
+    d *= d
+    return np.add.reduce(d, axis=1) / d.shape[1]  # np.mean, without its dispatch
 
 
 def counts_to_indices(c) -> np.ndarray:

@@ -182,8 +182,7 @@ def _uniform_runs(rngs, ks: np.ndarray) -> np.ndarray:
     if not isinstance(rngs, _Streams) and len(rngs) == 1:  # one RngStream draws alone
         return rngs[0].next_uniforms(int(ks[0]))
     rngs = _stream_rows(rngs)
-    ends = np.cumsum(ks)
-    z = (np.arange(ks.sum()) - np.repeat(ends - ks, ks)).view(np.uint64)  # places in the runs
+    z = (np.arange(ks.sum()) - np.repeat(np.cumsum(ks) - ks, ks)).view(np.uint64)  # run places
     z *= _U_GOLDEN
     z += np.repeat(rngs._advance(ks.astype(np.uint64)), ks)
     out = np.empty(z.size)
@@ -282,4 +281,5 @@ def gammas(rng, shape: float, scale: float, size: int) -> np.ndarray:
         from scipy.special import gammaincinv
         return scale * gammaincinv(float(shape), u)
     u = u.reshape(u.shape[:-1] + (int(shape), size))
-    return -scale * np.log1p(-u).sum(axis=-2)
+    np.log1p(np.negative(u, out=u), out=u)  # in place: u is this call's own
+    return -scale * u.sum(axis=-2)

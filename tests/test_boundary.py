@@ -157,6 +157,26 @@ CASES = [
     ("sampling_variance empty count rows",
      lambda: sampling_variance(np.zeros((2, 0), int), np.zeros((2, 0))),
      r"count rows must be non-empty, got shape \(2, 0\)"),
+    # count and weight rows that one vector refuses gave a number: 4.0, 0.25, 0.0,
+    # 2.0e31 past 2**53, and nan
+    ("sampling_variance negative count row",
+     lambda: sampling_variance([[1, 1], [-1, 3]], [HALF, HALF]),
+     "count row 1: negative size -1 at index 0"),
+    ("sampling_variance non-integer count row",
+     lambda: sampling_variance([[0.5, 1.5]], [HALF]),
+     "count row 0: size 0.5 at index 0 is not an integer"),
+    ("sampling_variance all-zero count row",
+     lambda: sampling_variance([[1, 0], [0, 0]], [HALF, HALF]),
+     r"count row 1: sizes must sum to a positive integer at most 2\*\*53"),
+    ("sampling_variance count row past 2**53",
+     lambda: sampling_variance([[1, 0], [PAST, 0]], [HALF, HALF]),
+     rf"count row 1: size {PAST} at index 0 is past 2\*\*53"),
+    ("sampling_variance nan weight row",
+     lambda: sampling_variance([[1, 1]], [[0.5, np.nan]]),
+     "non-finite weight nan at row 0, index 1"),
+    ("sampling_variance negative weight row",
+     lambda: sampling_variance([[1, 1]], [[1.5, -0.5]]),
+     "negative weight -0.5 at row 0, index 1"),
     ("residual unit lost near 2**53", lambda: RESAMPLERS["residual"](*LOST_UNIT, RngStream(0)),
      "n = 8443287019856399 is past float precision for these weights: the floors leave 1 "
      "units, and every residual rounds to 0"),
@@ -187,6 +207,10 @@ WORKS = [  # (id, call on the unusual input, the same call on the usual one)
     ("sampling_variance nested-list rows",
      lambda: sampling_variance([[1, 1], [2, 0]], [HALF, HALF]),
      lambda: sampling_variance(np.array([[1, 1], [2, 0]]), np.array([HALF, HALF]))),
+    # the boundaries of the count-row checks: one unit in a row, whole floats
+    ("sampling_variance one-unit rows",
+     lambda: sampling_variance([[1, 0], [0.0, 1.0]], [HALF, [0.0, 1.0]]),
+     lambda: np.array([0.25, 0.0])),
     ("msv None rng", lambda: RESAMPLERS["msv"](HALF, 4, None).sizes,
      lambda: RESAMPLERS["msv"](HALF, 4, RngStream(0)).sizes),
     # a list times a float raised a bare TypeError

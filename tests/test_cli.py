@@ -5,11 +5,14 @@ import sys
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 import finset.cli
 from finset.cli import EXIT_COLLAPSE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from finset.model import ParticleCollapseError
+from finset.partition import Allocation
+from finset.resampling import RESAMPLERS
 
 
 def run(argv, capsys):
@@ -263,6 +266,19 @@ class TestBenchmarkCommand:
         assert code == EXIT_COLLAPSE
         assert err == "error: run 3: all particle weights vanished at step 7\n"
         assert not out.exists()
+
+    def test_replaced_entry_with_bad_counts_exits_2(self, tmp_path, capsys, monkeypatch):
+        # one count too many: a bare NumPy ValueError, which no exit code mapped
+        def bad(p, n, rng):
+            return Allocation(np.append(p.weights.weights * 0, n).astype(int))
+
+        monkeypatch.setitem(RESAMPLERS, "systematic", bad)
+        out = tmp_path / "r.csv"
+        code, _, err = run(["benchmark", "--runs", "2", "--steps", "2", "--particles", "5",
+                            "--output", str(out)], capsys)
+        assert code == EXIT_VALIDATION
+        assert err == ("error: systematic returned 6 counts summing to 5 for run 0 at step 1; "
+                       "M = 5, n = 5\n")
 
     def test_default_run_leaves_scipy_unimported(self, tmp_path):
         # only a fractional Gamma shape needs scipy; importing it costs ~25 MiB

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from finset.model import (
 )
 from finset import model, partition, resampling
 from finset import rng as rng_module
-from finset.partition import ValidationError, WeightVector, lmse_partition, residuals
+from finset.partition import Allocation, ValidationError, WeightVector, lmse_partition, residuals
 from finset.resampling import RESAMPLERS, ParticleSet
 from finset.rng import RngStream
 
@@ -495,6 +496,41 @@ class TestBatchedRuns:
             return len(checks), len(builds)
 
         assert bookkeeping(3) == bookkeeping(30) == (1, 1 + 4)  # the root and the runs
+
+    @pytest.mark.parametrize("change, got", [
+        (lambda c: c - (np.arange(c.size) == c.argmax()), "5 counts summing to 4"),
+        (lambda c: c + (np.arange(c.size) == 0), "5 counts summing to 6"),
+        (lambda c: np.append(c, 0), "6 counts summing to 5"),
+    ], ids=["n - 1", "n + 1", "M + 1"])
+    @pytest.mark.parametrize("method", ["systematic", "rsr"], ids=["baseline", "method"])
+    def test_replaced_entry_with_bad_counts_is_refused(self, method, change, got,
+                                                       monkeypatch):
+        # a baseline's bad counts failed to reshape or to broadcast in NumPy,
+        # and a method's sum of n + 1 was taken as its own n
+        def bad(p, n, rng, fn=RESAMPLERS[method]):
+            return Allocation(change(fn(p, n, rng).sizes))
+
+        monkeypatch.setitem(RESAMPLERS, method, bad)
+        cfg = BenchmarkConfig(num_particles=5, num_steps=2, num_mc_runs=2,
+                              methods=("msv", "rsr"))
+        with pytest.raises(ValidationError) as exc:
+            run_benchmark(cfg)
+        assert type(exc.value) is ValidationError
+        assert str(exc.value) == f"{method} returned {got} for run 0 at step 1; M = 5, n = 5"
+
+    def test_step_holds_few_population_arrays(self):
+        # run_benchmark's traced peak, in (runs, particles) float64 arrays: 26.0
+        # while every scheme's counts lived to the end of the step and the
+        # noise, the log weights and the weights were each copied
+        runs, m = 50, 20_000
+        cfg = BenchmarkConfig(num_particles=m, num_steps=2, num_mc_runs=runs)
+        tracemalloc.start()
+        try:
+            run_benchmark(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 8 * runs * m, peak / (8 * runs * m)
 
     def test_replaced_entry_sees_each_runs_stream_at_its_position(self, monkeypatch):
         # a replaced entry gets a stream per (run, step) made from the stream

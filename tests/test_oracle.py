@@ -68,10 +68,11 @@ def model_population():
     """A run's weighted population after one SIR step, as run_benchmark builds it."""
     rngs = [RngStream(4).spawn(r) for r in range(3)]
     states = model.normals(rngs, 100)
-    states, _, stored, estimates, _ = model._step(
+    states, w, estimates, _ = model._step(
         states, np.full((3, 100), 0.01), np.array([2.0, 5.0, 9.0]), 5, rngs, model.ModelParams(),
         100, [], False)
     assert len(estimates) == 3
+    stored = w / w.sum(axis=1, keepdims=True)  # WeightVector's renormalisation, as _step's
     row = _Rows(stored, 100).populations()[1]
     return ParticleSet._trusted(states[1], row), stored[1], 100
 

@@ -790,8 +790,8 @@ def test_keyed_readout_of_a_block_with_no_cdf_key():
 
 @pytest.mark.parametrize("r", [5, 513], ids=["one group", "two groups"])
 def test_keyed_readout_of_rows_with_mixed_draws(r):
-    # rows that draw nothing between rows that draw up to two blocks, in one
-    # sort group of 512 rows and across two
+    # rows that draw nothing between rows that draw up to two blocks, 5 rows
+    # and 513, which once were more than one sort group of 512 rows
     g = np.random.default_rng(r)
     m = 40
     cdf = np.array([_cdf(np.cumsum(w / w.sum())) for w in g.lognormal(0.0, 2.0, (r, m))])
@@ -803,6 +803,33 @@ def test_keyed_readout_of_rows_with_mixed_draws(r):
         u = RngStream(int(s)).next_uniforms(int(k))
         assert np.array_equal(row, np.diff(search_cum(c, u), prepend=0)), k
     assert keyed.dtype == np.int64 and keyed.shape == (r, m)
+
+
+RAGGED_DRAWS = {  # each row's draws, for R rows
+    # short rows, whose pads precede the next row's bin 0, which takes draws
+    "padded row before bin-0 draws": lambda r: 3 + 9 * (np.arange(r) % 2),
+    "rows drawing nothing": lambda r: 7 * (np.arange(r) % 3 == 1),
+    "one row draws every unit": lambda r: 40 * (np.arange(r) == r // 2),
+}
+
+
+@pytest.mark.parametrize("r", [1, 2, 513])
+@pytest.mark.parametrize("case", RAGGED_DRAWS)
+def test_ragged_rows_read_out_as_each_row_alone(case, r):
+    # rows of fewer draws than the longest are padded with keys that sort
+    # after their row's; read as one sequence, they fall in the next row's
+    # bin 0, which half the weight makes the likeliest bin
+    g = np.random.default_rng(r)
+    raw = g.lognormal(0.0, 1.0, (r, 6))
+    raw[:, 0] = raw[:, 1:].sum(axis=1)
+    cdf = np.array([_cdf(np.cumsum(w / w.sum())) for w in raw])
+    ks = RAGGED_DRAWS[case](r).astype(np.int64)
+    seeds = g.integers(0, 2**62, r)
+    keyed = _draw_counts([cdf.copy()], ks, [RngStream(int(s)) for s in seeds])
+    assert keyed.dtype == np.int64 and keyed.shape == (r, 6)
+    for row, c, k, s in zip(keyed, cdf, ks, seeds):
+        u = RngStream(int(s)).next_uniforms(int(k))
+        assert np.array_equal(row, np.diff(search_cum(c, u), prepend=0)), k
 
 
 # the most M-sized arrays one call on a raw weight array may hold at once, at
