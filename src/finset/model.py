@@ -14,7 +14,7 @@ advances the shared population, so every scheme sees bit-identical inputs.
 All runs step together as the rows of (runs, particles) arrays, each run
 with its own stream rows (``rng._Streams``), so every value is the one a run
 stepped alone would give; ``sir_step`` is that step for one run. Each step
-splits the runs' weights once (``partition._Rows``), each scheme's row kernel
+builds the runs' CDFs once (``partition._Rows``), each scheme's row kernel
 resamples every run in one call, and its sampling variance is taken at once.
 ``RESAMPLERS`` is the extension point: an entry replaced by another function
 is called once per run, with that run's population and stream, and must
@@ -145,14 +145,14 @@ def _collapse(t, run=None) -> ParticleCollapseError:
     return ParticleCollapseError(f"{where}all particle weights vanished at step {t}")
 
 
-def _step(states, prior, y_obs, t, rngs, params, n, schemes, advance):
+def _step(states, prior, y_obs, t, rngs, params, n, schemes, advance, measured):
     """One SIR step of the R runs in the rows of (R, M) states and prior weights.
 
     The prior may be an (R, 1) column of equal weights. Row r draws from rngs[r]
     and is weighed against y_obs[r]. The rows before the first collapsed one are
     resampled at n units by each (method, streams) of schemes; with advance, the
     last scheme's counts copy the states, whose prior is then a column of 1/n.
-    Returns the states, their weights, the estimates and each scheme's R svs.
+    Returns the states, their weights, the estimates and the first ``measured`` schemes' R svs.
     """
     noise = gammas(rngs, params.gamma_shape, params.gamma_scale, states.shape[1])
     states = state_transition(states, t, noise, params)
@@ -193,7 +193,8 @@ def _step(states, prior, y_obs, t, rngs, params, n, schemes, advance):
             counts = np.array(counts)
         else:
             counts = kernel(rows, streams)
-        svs.append(_sv(counts, nw))
+        if len(svs) < measured:
+            svs.append(_sv(counts, nw))
     del rows, nw, stored  # their arrays are freed before the gather
     if advance:
         copies = np.repeat(np.arange(states.size), counts.ravel())
@@ -218,7 +219,7 @@ def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
     t = _integer("t", t, 1)
     states, weights, estimates, svs = _step(
         p.states[None], p.weights.weights[None], np.array([y_obs], dtype=float), t,
-        [rng], params, n_out, [(method, [rng])], True)
+        [rng], params, n_out, [(method, [rng])], True, 1)
     if not estimates.size:
         raise _collapse(t)
     weights = np.broadcast_to(weights[0], n_out)  # the column of 1/n, as a row
@@ -274,7 +275,7 @@ def run_benchmark(config: BenchmarkConfig,
     for t in range(1, steps + 1):
         states, weights, est, step_svs = _step(
             states, weights, ys[:len(filter_rngs), t - 1], t, filter_rngs, params, npart,
-            schemes, config.resample_each_step)
+            schemes, config.resample_each_step, len(config.methods))
         live = len(est)
         if live < len(filter_rngs):
             # the runs from the collapsed one on can no longer be the one reported
@@ -283,7 +284,7 @@ def run_benchmark(config: BenchmarkConfig,
                 break
             filter_rngs = filter_rngs[:live]
         estimates[:live, t - 1] = est
-        for m, sv in zip(config.methods, step_svs):  # the baseline's, last, is not recorded
+        for m, sv in zip(config.methods, step_svs):  # the baseline's, last, is not taken
             svs[m][:live, t - 1] = sv
     if collapse is not None:
         raise collapse

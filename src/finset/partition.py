@@ -53,6 +53,28 @@ def _real_array(values, error: str) -> np.ndarray:
     return arr
 
 
+def _normalised(weights) -> np.ndarray:
+    """weights checked, over their sum, in a new array: ``WeightVector``'s one check."""
+    arr = _real_array(weights, "weights must be real numbers").astype(float, copy=False)
+    arr = arr if arr.ndim else arr.reshape(1)  # a scalar is one weight
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValidationError("weights must be a non-empty 1-d sequence")
+    # a nan or -inf fails the minimum, a +inf the total, which entries in [0, 2] cannot overflow
+    if (low := np.minimum.reduce(arr)) >= 0 and np.maximum.reduce(arr) <= 2:
+        total = float(np.add.reduce(arr))  # what arr.sum() computes
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            total = float(np.add.reduce(arr))
+    if not (low >= 0 and math.isfinite(total)):
+        for bad, what in ((~np.isfinite(arr), "non-finite"), (arr < 0, "negative")):
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise ValidationError(f"{what} weight {arr[i]} at index {i}")
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValidationError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
+    return arr / total
+
+
 # init=False where a class defines its own __init__: dataclass would build, and
 # compile, one more that is never used on every import
 @dataclass(frozen=True, eq=False, init=False)
@@ -67,25 +89,7 @@ class WeightVector:
     weights: np.ndarray
 
     def __init__(self, weights):
-        arr = np.atleast_1d(_real_array(
-            weights, "weights must be real numbers").astype(float, copy=False))
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidationError("weights must be a non-empty 1-d sequence")
-        # a nan or -inf fails the minimum, a +inf the total, which entries in [0, 2] cannot overflow
-        if (low := np.minimum.reduce(arr)) >= 0 and np.maximum.reduce(arr) <= 2:
-            total = float(np.add.reduce(arr))  # what arr.sum() computes
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                total = float(np.add.reduce(arr))
-        if not (low >= 0 and math.isfinite(total)):
-            for bad, what in ((~np.isfinite(arr), "non-finite"), (arr < 0, "negative")):
-                if bad.any():
-                    i = int(np.flatnonzero(bad)[0])
-                    raise ValidationError(f"{what} weight {arr[i]} at index {i}")
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValidationError(f"weights sum to {total!r}, "
-                                  f"expected 1 within {WEIGHT_SUM_TOL}")
-        object.__setattr__(self, "weights", _frozen(arr / total))
+        object.__setattr__(self, "weights", _frozen(_normalised(weights)))
 
     def __len__(self):
         return self.weights.size
@@ -110,22 +114,21 @@ def _cdf(running: np.ndarray) -> np.ndarray:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    a.setflags(write=False)  # faster than through a.flags
     return a
 
 
 class _Rows:
     """R rows of weights at n units, and the split of each that the row kernels read.
 
-    ``weights`` is (R, M), each row as WeightVector stores it; one caller's
-    population is the one row ``WeightVector.weights[None]``. Each part is
-    built for every row at once, row r as that row alone would give it, and
-    only when read: at M = 1e6 one costs about what a whole systematic call
-    does. The parts read by more than one caller are cached read-only.
+    ``weights`` is (R, M), each row as WeightVector stores it. Each part is built
+    for every row at once, row r as that row alone would give it, and only when
+    read: at M = 1e6 one costs what a systematic call does. The parts read by
+    more than one caller are kept read-only.
     """
 
     def __init__(self, weights: np.ndarray, n: int):
-        self.weights, self.n = weights, n
+        self.weights, self.n, self.floors = weights, n, None
 
     @cached_property
     def cdf(self) -> np.ndarray:
@@ -134,45 +137,42 @@ class _Rows:
         _cdf(running[0] if len(running) == 1 else running)  # one row: one search
         return _frozen(running)
 
-    @cached_property
-    def floors(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        """floor(n*w) as int64, and the units each row's floors leave: within
-        [0, M] unless n*w lost whole units."""
-        floors = self.n * self.weights
-        floors = _frozen(np.floor(floors, out=floors).astype(np.int64))
-        surplus = tuple([self.n - s for s in np.add.reduce(floors, axis=1).tolist()])
-        for s in surplus:
-            if not 0 <= s <= floors.shape[1]:
-                raise ValidationError(f"n = {self.n} is past float precision for these weights: "
-                                      f"the floors leave {s} units for {floors.shape[1]} bins")
-        return floors, surplus
+    def floored(self) -> np.ndarray:
+        """floor(n*w), as floats in a new array."""
+        f = self.n * self.weights
+        return np.floor(f, out=f)
 
-    def residuals(self) -> np.ndarray:
-        """w - floors/n, a new array: no caller reads them twice, nor keeps them."""
-        # the floors as ``floors`` computes them, so the pair stays consistent
-        # even where n*w sits on an integer in double precision
-        res = self.n * self.weights
-        np.floor(res, out=res)
-        res /= self.n
-        return np.subtract(self.weights, res, out=res)
+    def split(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+        """floor(n*w) as read-only int64 and the units each row's floors leave (refused
+        outside [0, M]: n*w lost units), kept as ``floors`` for a step's next reader,
+        and the ``floored()`` they come from, which each reader floors for itself."""
+        f = self.floored()
+        if self.floors is None:
+            floors, m = _frozen(f.astype(np.int64)), f.shape[1]
+            surplus = tuple([self.n - s for s in np.add.reduce(floors, axis=1).tolist()])
+            for s in surplus:
+                if not 0 <= s <= m:
+                    raise ValidationError(f"n = {self.n} is past float precision for these "
+                                          f"weights: the floors leave {s} units for {m} bins")
+            self.floors = floors, surplus
+        return (*self.floors, f)
 
-    @cached_property
-    def residual_cdf(self) -> np.ndarray:
-        """The residuals of each row as a CDF, summed in place: nothing else reads them.
+    def residuals(self, floored: np.ndarray) -> np.ndarray:
+        """w - floor(n*w)/n, in place over ``floored()``: read once, not kept."""
+        floored /= self.n
+        return np.subtract(self.weights, floored, out=floored)
 
-        A residual an ulp below 0 (n*w rounded up onto an integer) is no mass.
-        A row with no residual mass stays all 0: it has no surplus to draw, or
-        it lost its units to rounding.
-        """
-        cum = self.residuals()
-        np.cumsum(np.maximum(cum, 0.0, out=cum), axis=1, out=cum)
+    def residual_cdf(self, res: np.ndarray, surplus: tuple[int, ...]) -> np.ndarray:
+        """Residuals as CDFs, summed over them in place. One an ulp below 0 (n*w rounded
+        up onto an integer) is no mass; a row with none (no surplus, or lost) stays 0."""
+        cum = np.cumsum(np.maximum(res, 0.0, out=res), axis=1, out=res)
         last = cum[:, -1:].copy()  # a view would overlap the output: NumPy would copy cum
-        for s, mass in zip(self.floors[1], last[:, 0].tolist()):
+        for s, mass in zip(surplus, last[:, 0].tolist()):
             if s and not mass:
                 raise ValidationError(f"n = {self.n} is past float precision for these "
                                       f"weights: the floors leave {s} units, and every "
                                       f"residual rounds to 0")
-        return _frozen(np.divide(cum, last, out=cum, where=last > 0))
+        return np.divide(cum, last, out=cum, where=last > 0)
 
     def populations(self) -> list[WeightVector]:
         """Each row as a WeightVector of its own, for a scheme with no row
@@ -248,6 +248,11 @@ def as_weights(w) -> WeightVector:
     return w if isinstance(w, WeightVector) else WeightVector(w)
 
 
+def _stored(w) -> np.ndarray:
+    """The weights ``WeightVector(w)`` stores, for a caller that only reads them."""
+    return w.weights if isinstance(w, WeightVector) else _normalised(w)
+
+
 def as_allocation(a) -> Allocation:
     return a if isinstance(a, Allocation) else Allocation(a)
 
@@ -269,20 +274,22 @@ def _lmse_rows(rows: _Rows, rngs=None) -> np.ndarray:
     One row finds its cut, the surplus-th largest residual, by a selection,
     O(M); many rows by one row-wise sort, cheaper than a selection per row.
     """
-    (floors, surplus), res = rows.floors, rows.residuals()
+    floors, surplus, res = rows.split()
+    res = rows.residuals(res)
     del rows  # see lmse_partition: the weights are freed before the selection's copy
     m = res.shape[1]
-    kth = [m - max(s, 1) for s in surplus]
     if len(res) == 1:
-        cut = np.partition(res[0], kth[0])[kth]  # a copy: the partitioned one is freed
+        k = m - max(surplus[0], 1)
+        cut = [np.partition(res[0], k)[k]]  # a copy: the partitioned one is freed
+        take = res >= cut[0]
+        taken = [np.count_nonzero(take)]  # one row counts fastest alone
     else:
-        cut = np.sort(res, axis=1)[np.arange(len(res)), kth]
-    take = res >= cut[:, None]
-    # one row counts fastest alone, many rows with one reduce along them
-    taken = [np.count_nonzero(take)] if len(take) == 1 else np.add.reduce(take, axis=1).tolist()
-    for r, (taken, s) in enumerate(zip(taken, surplus)):
-        if taken > s:
-            take[r, (res[r] == cut[r]).nonzero()[0][s - taken:]] = False
+        cut = np.sort(res, axis=1)[np.arange(len(res)), [m - max(s, 1) for s in surplus]]
+        take = res >= cut[:, None]
+        taken = np.add.reduce(take, axis=1).tolist()
+    for r, (t, s) in enumerate(zip(taken, surplus)):
+        if t > s:
+            take[r, (res[r] == cut[r]).nonzero()[0][s - t:]] = False
     del res  # freed before the counts are built
     return floors + take
 
@@ -297,21 +304,22 @@ def lmse_partition(w, n) -> Allocation:
     """
     n = _check_n(n)
     # handed over, not kept: _lmse_rows frees weights built here once it has read them
-    return Allocation._trusted(_lmse_rows(_Rows(as_weights(w).weights[None], n))[0], n)
+    return Allocation._trusted(_lmse_rows(_Rows(_stored(w)[None], n))[0], n)
 
 
 def residuals(w, n) -> ResidualVector:
     """Fractional residuals w[m] - Floor(n*w[m])/n."""
+    rows = _Rows(_stored(w)[None], _check_n(n))
     rv = object.__new__(ResidualVector)  # on its own fresh array: no copy to make
-    vars(rv)["residuals"] = _frozen(_Rows(as_weights(w).weights[None], _check_n(n)).residuals()[0])
+    vars(rv)["residuals"] = _frozen(rows.residuals(rows.floored())[0])
     return rv
 
 
 def _discrepancy(a, w) -> np.ndarray:
-    a, wv = as_allocation(a), as_weights(w)
-    if len(a) != len(wv):
-        raise ValidationError(f"length mismatch: {len(a)} sizes vs {len(wv)} weights")
-    return a.sizes - a.total * wv.weights
+    a, w = as_allocation(a), _stored(w)
+    if len(a) != w.size:
+        raise ValidationError(f"length mismatch: {len(a)} sizes vs {w.size} weights")
+    return a.sizes - a.total * w
 
 
 # np.mean is the same add.reduce divided by the count, without its dispatch.
@@ -340,18 +348,12 @@ def check_local_optimality(a, w) -> bool:
     MSE changes by (2/M) * (1 + d[p] - d[q]) with d = sizes - N*w. The check
     passes when every such change exceeds -LOCAL_OPTIMALITY_TOL.
     """
-    av = as_allocation(a)
-    d = _discrepancy(av, w)
-    m = len(d)
-    if m == 1:
-        return True
-    # The worst receiver for donor q is the smallest d[p] with p != q: the
-    # smallest d overall, or the smallest of the others when q holds it.
-    lo = int(d.argmin())
-    worst = np.full(m, d[lo])
-    worst[lo] = min(d[:lo].min(initial=np.inf), d[lo + 1:].min(initial=np.inf))
-    delta = (2.0 / m) * (1.0 + worst - d)
-    return bool((delta[av.sizes >= 1] > -LOCAL_OPTIMALITY_TOL).all())
+    d = _discrepancy(av := as_allocation(a), w)
+    # (1 + d[p]) - d[q] rounds monotonically in d[p] and -d[q]: the worst change
+    # takes the smallest d and a donor's largest. Two bins hold them, or every
+    # donor's d is the smallest, x, and (1 + x) - x >= 0 bounds every change.
+    worst = (1.0 + d.min()) - np.maximum.reduce(d, where=av.sizes >= 1, initial=-np.inf)
+    return bool((2.0 / len(d)) * worst > -LOCAL_OPTIMALITY_TOL)
 
 
 def _compositions(n: int, m: int, memo: dict) -> np.ndarray:

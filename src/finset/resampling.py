@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import (Allocation, ValidationError, WeightVector, as_allocation, as_weights,
-                        _check_n, _lmse_rows, _real_array, _Rows, lmse_partition, mse)
+                        _check_n, _lmse_rows, _real_array, _Rows, _stored, lmse_partition, mse)
 from .rng import _BLOCK, RngStream, _check_type, _Streams, _uniform_runs, uniform_rows
 
 
@@ -74,15 +74,11 @@ class ParticleSet:
 ResampleCounts = as_allocation
 
 
-def _weights_of(p) -> WeightVector:
-    return p.weights if isinstance(p, ParticleSet) else as_weights(p)
-
-
 def msv_resample(p, n, rng: RngStream | None = None) -> Allocation:
     """Minimum-sampling-variance resampling; deterministic, rng (if any) untouched."""
     if rng is not None:
         _check_type("rng", rng, RngStream)
-    # the weights as given: a WeightVector built of them belongs to the rows alone
+    # the weights as given: lmse_partition checks them once
     return lmse_partition(p.weights if isinstance(p, ParticleSet) else p, n)
 
 
@@ -90,8 +86,9 @@ def _one_row(kernel, p, n, rng) -> Allocation:
     """A row kernel's R = 1 case: one population, one stream."""
     n = _check_n(n)
     _check_type("rng", rng, RngStream)
-    # handed over, not kept: a kernel that drops the rows frees their weights
-    return Allocation._trusted(kernel(_Rows(_weights_of(p).weights[None], n), (rng,))[0], n)
+    w = p.weights if isinstance(p, ParticleSet) else p
+    # handed over, not kept: a kernel that drops the rows frees weights checked here
+    return Allocation._trusted(kernel(_Rows(_stored(w)[None], n), (rng,))[0], n)
 
 
 def _draw_counts(held: list, ks, rngs) -> np.ndarray:
@@ -206,11 +203,11 @@ rsr_resample = systematic_resample
 
 
 def _residual_rows(rows: _Rows, rngs) -> np.ndarray:
-    floors, surplus = rows.floors
-    if not any(surplus):  # nothing to draw, and no residual CDF to build
+    floors, surplus, floored = rows.split()
+    if not any(surplus):  # nothing to draw: no residuals, and no residual CDF, to build
         return floors.copy()
-    held = [rows.residual_cdf]
-    del rows.residual_cdf, rows  # no other scheme reads it: freed once its keys are written
+    held = [rows.residual_cdf(rows.residuals(floored), surplus)]
+    del floored, rows  # no other scheme reads it: freed once its keys are written
     counts = _draw_counts(held, surplus, rngs)
     counts += floors
     return counts

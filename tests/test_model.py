@@ -344,15 +344,14 @@ def spy_kernels(monkeypatch) -> list:
 def spy_parts(monkeypatch) -> list:
     """Record the name of each part of a split as it is built."""
     parts = []
-    for name in ("cdf", "floors", "residual_cdf"):
-        build = vars(partition._Rows)[name].func
-        spy = functools.cached_property(
-            lambda rows, build=build, name=name: parts.append(name) or build(rows))
-        spy.__set_name__(partition._Rows, name)
-        monkeypatch.setattr(partition._Rows, name, spy)
-    build = partition._Rows.residuals  # not cached: each caller reads them once
-    monkeypatch.setattr(partition._Rows, "residuals",
-                        lambda rows: parts.append("residuals") or build(rows))
+    cdf = vars(partition._Rows)["cdf"].func
+    spy = functools.cached_property(lambda rows: parts.append("cdf") or cdf(rows))
+    spy.__set_name__(partition._Rows, "cdf")
+    monkeypatch.setattr(partition._Rows, "cdf", spy)
+    for name in ("split", "residuals", "residual_cdf"):  # not cached: each caller reads them once
+        build = getattr(partition._Rows, name)
+        monkeypatch.setattr(partition._Rows, name, lambda rows, *a, build=build, name=name:
+                            parts.append(name) or build(rows, *a))
     return parts
 
 
@@ -403,6 +402,15 @@ class TestBatchedRuns:
         run_benchmark(BenchmarkConfig(num_particles=6, num_steps=3, num_mc_runs=4, seed=2))
         assert builds == [(4, 6)] * 3
 
+    def test_residual_and_msv_share_one_set_of_floors_per_step(self, monkeypatch):
+        # residual converts and checks the floors, msv reads them; each floors
+        # n*w once for residuals of its own
+        splits, split = [], partition._Rows.split
+        monkeypatch.setattr(partition._Rows, "split",
+                            lambda rows: splits.append(rows.floors is None) or split(rows))
+        run_benchmark(BenchmarkConfig(num_particles=6, num_steps=3, num_mc_runs=4, seed=2))
+        assert splits == [True, False] * 3
+
     def test_registry_called_once_per_run_step_and_scheme(self, monkeypatch):
         calls = []
         for name, fn in RESAMPLERS.items():
@@ -443,12 +451,12 @@ class TestBatchedRuns:
         assert parts == ["cdf"]  # no floors, residuals or residual CDF
 
     @pytest.mark.parametrize("call, built", [
-        (lambda: lmse_partition([0.3, 0.2, 0.5], 13), ["floors", "residuals"]),
+        (lambda: lmse_partition([0.3, 0.2, 0.5], 13), ["residuals", "split"]),
         (lambda: residuals([0.3, 0.2, 0.5], 13), ["residuals"]),
         (lambda: RESAMPLERS["residual"]([0.3, 0.2, 0.5], 13, RngStream(0)),
-         ["floors", "residual_cdf", "residuals"]),
-        # nothing to draw: no residual CDF
-        (lambda: RESAMPLERS["residual"]([0.25, 0.75], 8, RngStream(0)), ["floors"]),
+         ["residual_cdf", "residuals", "split"]),
+        # nothing to draw: no residuals, and no residual CDF
+        (lambda: RESAMPLERS["residual"]([0.25, 0.75], 8, RngStream(0)), ["split"]),
     ], ids=["lmse_partition", "residuals", "residual", "residual with no surplus"])
     def test_one_population_builds_only_the_parts_it_reads(self, call, built, monkeypatch):
         parts = spy_parts(monkeypatch)

@@ -70,7 +70,7 @@ def model_population():
     states = model.normals(rngs, 100)
     states, w, estimates, _ = model._step(
         states, np.full((3, 100), 0.01), np.array([2.0, 5.0, 9.0]), 5, rngs, model.ModelParams(),
-        100, [], False)
+        100, [], False, 0)
     assert len(estimates) == 3
     stored = w / w.sum(axis=1, keepdims=True)  # WeightVector's renormalisation, as _step's
     row = _Rows(stored, 100).populations()[1]

@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from finset import partition
 
 from finset.partition import (
     LOCAL_OPTIMALITY_TOL,
@@ -252,6 +254,98 @@ def all_pairs_local_optimality(sizes, w, tol=1e-12):
     delta = (2.0 / m) * (1.0 + d[:, None] - d[None, :])
     mask = (a.sizes >= 1)[None, :] & ~np.eye(m, dtype=bool)
     return bool(np.all(delta[mask] > -tol))
+
+
+@st.composite
+def allocation_cases(draw):
+    """(sizes, weights) of M <= 12 bins. The weights are few distinct whole
+    numbers, so that d values tie, or spread floats; the sizes are an LMSE
+    partition, one unit moved from it, or any sizes, zero-size bins included."""
+    m = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+    else:
+        raw = draw(st.lists(st.floats(1e-3, 1e3), min_size=m, max_size=m))
+    w = np.asarray(raw, float) / np.sum(raw)
+    n = draw(st.integers(1, 4 * m + 2))
+    kind = draw(st.sampled_from(["lmse", "moved", "any"]))
+    if kind == "any":
+        return draw(st.lists(st.integers(0, 6), min_size=m, max_size=m).filter(any)), w
+    sizes = lmse_partition(w, n).sizes.tolist()
+    if kind == "moved":
+        q, p = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        if sizes[q]:
+            sizes[q] -= 1
+            sizes[p] += 1
+    return sizes, w
+
+
+@settings(max_examples=500, deadline=None)
+@example(([7], np.array([1.0])))  # M = 1
+@example(([3], np.array([1.0])))
+@example(([0, 2], np.array([0.5, 0.5])))  # M = 2: the one donor gives away a unit it should keep
+@example(([2, 0], np.array([0.5, 0.5])))
+@example(([1, 1], np.array([0.5, 0.5])))  # tied d
+@example(([2, 0], np.array([1.0, 0.0])))  # the one donor's d ties the smallest
+@example(([1, 1, 0], np.array([0.25, 0.25, 0.5])))  # tied donors, a zero-size receiver
+@given(allocation_cases())
+def test_local_optimality_equals_the_all_pairs_definition(case):
+    sizes, w = case
+    assert check_local_optimality(sizes, w) == all_pairs_local_optimality(sizes, w)
+
+
+# the six public calls that read weights, each on weights w of two bins
+ENTRY_POINTS = {
+    "lmse_partition": lambda w: lmse_partition(w, 5),
+    "residuals": lambda w: residuals(w, 5),
+    "mse": lambda w: mse([2, 3], w),
+    "mae": lambda w: mae([2, 3], w),
+    "check_theory1_bound": lambda w: check_theory1_bound([2, 3], w),
+    "check_local_optimality": lambda w: check_local_optimality([2, 3], w),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_each_call_checks_raw_weights_once_and_held_ones_never(call, monkeypatch):
+    checks = []
+    check = partition._normalised
+    held = WeightVector([0.4, 0.6])
+    monkeypatch.setattr(partition, "_normalised", lambda w: checks.append(w) or check(w))
+    raw = [0.4, 0.6]
+    call(raw)
+    assert checks == [raw]
+    checks.clear()
+    call(held)
+    assert checks == []
+
+
+WEIGHT_ERRORS = {  # bad weights, and WeightVector's message for them
+    "scalar": (0.5, "weights sum to 0.5, expected 1 within 1e-09"),
+    "2-d": ([[0.4, 0.6]], "weights must be a non-empty 1-d sequence"),
+    "empty": ([], "weights must be a non-empty 1-d sequence"),
+    "nan": ([0.5, np.nan], "non-finite weight nan at index 1"),
+    "+inf": ([np.inf, 0.0], "non-finite weight inf at index 0"),
+    "-inf": ([1.0, -np.inf], "non-finite weight -inf at index 1"),
+    "overflowing sum": ([1e308, 1e308], "weights sum to inf, expected 1 within 1e-09"),
+    "off the simplex": ([0.5, 0.6], "weights sum to 1.1, expected 1 within 1e-09"),
+}
+
+
+@pytest.mark.parametrize("weights, message", WEIGHT_ERRORS.values(), ids=WEIGHT_ERRORS)
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+@pytest.mark.filterwarnings("error")
+def test_each_call_refuses_bad_weights_as_weightvector_does(call, weights, message):
+    for refuse in (WeightVector, call):
+        with pytest.raises(ValidationError) as info:
+            refuse(weights)
+        assert str(info.value) == message
+
+
+def test_a_scalar_weight_is_one_bin():
+    assert lmse_partition(1.0, 5).sizes.tolist() == [5]
+    assert residuals(1.0, 5).residuals.tolist() == [0.0]
+    assert mse([5], 1.0) == mae([5], 1.0) == 0.0
+    assert check_theory1_bound([5], 1.0) and check_local_optimality([5], 1.0)
 
 
 class TestBruteForce:

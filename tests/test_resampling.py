@@ -539,25 +539,35 @@ def test_weight_rows_equal_one_row_each(m, n):
     rows = _Rows(stored, n)
     same = lambda a, b: a.dtype == b.dtype and a.tobytes() == b.tobytes()  # noqa: E731
     assert rows.weights is stored
-    (all_floors, surpluses), all_res = rows.floors, rows.residuals()
-    parts = (rows.cdf, all_floors, rows.residual_cdf)
-    for a in parts:  # cached and shared by every scheme
+
+    def parts(rows):  # the split, its residuals, and the residual CDF of a second split
+        floors, surpluses, floored = rows.split()
+        return (floors, surpluses, rows.residuals(floored),
+                rows.residual_cdf(rows.residuals(rows.split()[2]), surpluses))
+
+    floored = rows.floored()
+    all_floors, surpluses, all_res, residual_cdf = parts(rows)
+    assert rows.floors[0] is all_floors and rows.floors[1] == surpluses  # kept for the next
+    kept, _, again = rows.split()
+    assert kept is all_floors and same(again, floored)  # a second split floors again
+    for a in (rows.cdf, all_floors):  # shared by every scheme
         assert not a.flags.writeable
     assert surpluses == tuple(s for r in range(len(stored))
-                              for s in _Rows(stored[r:r + 1], n).floors[1])
+                              for s in _Rows(stored[r:r + 1], n).split()[1])
     for r, (w, wv) in enumerate(zip(stored, rows.populations())):
         assert wv.weights is not w and same(wv.weights, w)
         assert same(rows.cdf[r], _cdf(np.cumsum(w)))  # the one-row search
         one = _Rows(stored[r:r + 1], n)  # the row alone, and the arithmetic of one row
-        for part, got in zip(parts + (all_res,), (one.cdf, one.floors[0], one.residual_cdf,
-                                                  one.residuals())):
+        alone = parts(one)
+        for part, got in zip((rows.cdf, all_floors, all_res, residual_cdf),
+                             (one.cdf,) + alone[:1] + alone[2:]):
             assert same(part[r], got[0])
         floors = np.floor(n * w)
         res = w - floors / n
         assert same(all_floors[r], floors.astype(np.int64)) and same(all_res[r], res)
         assert surpluses[r] == n - floors.sum()
         if surpluses[r]:
-            assert same(rows.residual_cdf[r], parent_residual_cdf(res))
+            assert same(residual_cdf[r], parent_residual_cdf(res))
     cums = np.cumsum(stored, axis=1)
     if m == 10:  # ten equal weights sum to an ulp short of 1
         assert cums[2, -1] < 1.0
@@ -569,7 +579,7 @@ def test_weight_rows_equal_one_row_each(m, n):
 def test_weight_rows_reject_floors_past_float_precision():
     w = np.array([[0.5, 0.5], [0.18092580658734178, 0.8190741934126583]])
     with pytest.raises(ValidationError, match="float precision"):
-        _Rows(w, 9007199254447305).floors
+        _Rows(w, 9007199254447305).split()
 
 
 @pytest.mark.parametrize("m, n", [(10, 10), (7, 36), (100, 100)])
@@ -610,7 +620,7 @@ def test_row_kernels_equal_one_call_per_row(name):
     for case, stored, n in row_kernel_cases():
         stored.flags.writeable = False
         rows = _Rows(stored, n)
-        assert min(rows.floors[1]) == 0 or "row" in case or "520" in case
+        assert min(rows.split()[1]) == 0 or "row" in case or "520" in case
         rngs = [RngStream(7).spawn(r) for r in range(len(stored))]
         got = kernel(rows, rngs)
         assert got.shape == stored.shape and got.dtype == np.int64, case
