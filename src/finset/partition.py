@@ -7,8 +7,8 @@ That allocation minimizes the mean squared discrepancy (1/M) * sum (size[m]
 - n*w[m])^2 over all nonnegative integer allocations summing to n.
 
 Also provided: the MSE/MAE discrepancy metrics, a strict |size - n*w| < 1
-bound check, a single-unit-transfer local-optimality check, and an exhaustive
-brute-force minimizer used as an independent test oracle.
+bound check, a single-unit-transfer local-optimality check, and an exact
+minimizer by a min-plus DP over bins, used as an independent test oracle.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ WEIGHT_SUM_TOL = 1e-9
 # check_local_optimality accepts every transfer whose MSE change exceeds -this.
 LOCAL_OPTIMALITY_TOL = 1e-12
 
-# brute_force_partition refuses instances with more compositions than this.
-BRUTE_FORCE_LIMIT = 10**7
+# brute_force_partition's bound on its DP table entries, (M - 1)*max(n + 1, 64)**2: ~1 s
+BRUTE_FORCE_LIMIT = 10**8
 
 
 class ValidationError(ValueError):
@@ -356,36 +356,31 @@ def check_local_optimality(a, w) -> bool:
     return bool((2.0 / len(d)) * worst > -LOCAL_OPTIMALITY_TOL)
 
 
-def _compositions(n: int, m: int, memo: dict) -> np.ndarray:
-    """All nonnegative m-part compositions of n, shape (C, m); memo holds sub-results."""
-    if m == 1:  # int32 bounds the blocks below 10**7 parts; one part alone takes any n
-        return np.array([[n]], dtype=np.int32 if n < 2**31 else np.int64)
-    if (n, m) not in memo:
-        blocks = []
-        for first in range(n + 1):
-            rest = _compositions(n - first, m - 1, memo)
-            head = np.full((rest.shape[0], 1), first, dtype=np.int32)
-            blocks.append(np.hstack([head, rest]))
-        memo[n, m] = np.vstack(blocks)
-    return memo[n, m]
-
-
 def brute_force_partition(w, n) -> tuple[Allocation, float]:
-    """Exhaustively minimize the MSE over all compositions of n into M parts.
+    """Minimize the MSE over all compositions of n into M parts, exactly, by a min-plus DP.
 
-    Independent oracle for the partition routine; rejects instances with more
-    than ``BRUTE_FORCE_LIMIT`` compositions. Ties go to the lexicographically
-    smallest composition.
+    An independent oracle, using only that the cost is one term per bin: from the
+    last bin back, for each k units taken before, it keeps the least cost of the
+    rest and this bin's smallest size reaching it; a pass from k = 0 reads the
+    sizes. Ties go to the lexicographically smallest sizes, on the DP's own float
+    sums. It keeps O(M*n) memory and refuses work past ``BRUTE_FORCE_LIMIT``.
     """
-    wv = as_weights(w)
-    n = _check_n(n)
-    m = len(wv)
-    count = math.comb(n + m - 1, m - 1)
-    if count > BRUTE_FORCE_LIMIT:
-        raise ValidationError(f"{count} compositions exceed the enumeration limit "
-                              f"{BRUTE_FORCE_LIMIT}; shrink n or the number of bins")
-    comps = _compositions(n, m, {})
-    d = comps - n * wv.weights
-    costs = np.mean(d * d, axis=1)
-    best = int(np.argmin(costs))
-    return Allocation._trusted(comps[best].astype(np.int64), n), float(costs[best])
+    w, n = _stored(w), _check_n(n)
+    m, nw, ks = w.size, n * w, [0]  # ks: the units the bins before each bin take
+    if (work := (m - 1) * max(n + 1, 64) ** 2) > BRUTE_FORCE_LIMIT:  # a bin's calls: ~64**2
+        raise ValidationError(f"M = {m} bins at n = {n} take {work} table entries, past the bound "
+                              f"(M - 1)*max(n + 1, 64)**2 <= {BRUTE_FORCE_LIMIT}; shrink n or M")
+    if m > 1:
+        cost = np.square(np.arange(n + 1.0) - nw[:, None])  # [b, s]: bin b's term at size s
+        best = np.concatenate([cost[-1, ::-1], np.full(n, np.inf)])  # [k]: the rest's least
+        window = np.ndarray((n + 1, n + 1), float, best, 0, (8, 8))  # [k, s]: best[k + s]
+        size, rows = np.empty((m - 1, n + 1), np.int64), 2**16 // n + 1  # a block: ~2**16
+        for b in range(m - 2, -1, -1):
+            for k in range(0, n + 1, rows):  # later rows read best[k + rows:]: update in place
+                table = window[k:k + rows] + cost[b]
+                size[b, k:k + rows] = table.argmin(axis=1)
+                np.minimum.reduce(table, axis=1, out=best[k:k + len(table)])
+        for b in range(m - 1):
+            ks.append(ks[-1] + int(size[b, ks[-1]]))
+    d = (sizes := np.diff(ks + [n])) - nw
+    return Allocation._trusted(sizes, n), float(np.mean(d * d))

@@ -144,7 +144,11 @@ def _draw_counts(held: list, ks, rngs) -> np.ndarray:
 def _multinomial_rows(rows: _Rows, rngs) -> np.ndarray:
     held, n = [rows.cdf], rows.n
     del rows  # see _one_row
-    return _draw_counts(held, n, rngs)
+    try:
+        return _draw_counts(held, n, rngs)
+    except MemoryError:  # a key and a uniform a draw, 8 bytes each
+        raise ValidationError(f"n = {n} multinomial draws need {16 * n * len(rngs) / 2**30:.1f} "
+                              f"GiB of memory, more than can be allocated") from None
 
 
 def multinomial_resample(p, n, rng: RngStream) -> Allocation:

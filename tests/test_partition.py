@@ -1,3 +1,5 @@
+import itertools
+import time
 import tracemalloc
 import warnings
 
@@ -373,9 +375,35 @@ class TestBruteForce:
         assert held < 2**20
 
     def test_scale_guard(self):
-        w = np.full(20, 1 / 20)
+        # 10001**2 table entries, one bin's table just past BRUTE_FORCE_LIMIT
         with pytest.raises(ValidationError, match="shrink"):
-            brute_force_partition(w, 200)
+            brute_force_partition([0.5, 0.5], 10**4)
+
+    def test_refuses_past_the_bound_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as info:
+            brute_force_partition([0.5, 0.5], 9_999_998)
+        assert time.perf_counter() - start < 0.1
+        assert f"(M - 1)*max(n + 1, 64)**2 <= {partition.BRUTE_FORCE_LIMIT}" in str(info.value)
+
+    @pytest.mark.parametrize("m", [2, 10, 100])
+    def test_largest_accepted_instance_is_quick_and_small(self, m):
+        n = int((partition.BRUTE_FORCE_LIMIT // (m - 1)) ** 0.5) - 1  # n = 9999, 3332, 1004
+        w = np.random.default_rng(m).random(m)
+        w /= w.sum()
+        with pytest.raises(ValidationError, match="shrink"):
+            brute_force_partition(w, n + 1)
+        start = time.perf_counter()
+        alloc, cost = brute_force_partition(w, n)
+        assert time.perf_counter() - start < 1.0
+        assert alloc.sizes.sum() == n and cost == pytest.approx(mse(lmse_partition(w, n), w))
+        tracemalloc.start()
+        try:
+            brute_force_partition(w, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 weights_strategy = st.lists(
@@ -406,6 +434,90 @@ def test_partition_matches_brute_force(raw, n):
     a = lmse_partition(w, n)
     _, best = brute_force_partition(w, n)
     assert mse(a, w) <= best + 1e-12
+
+
+def compositions(n, m):
+    """Every composition of n into m nonnegative parts, in lexicographic order."""
+    head = np.array(list(itertools.product(range(n + 1), repeat=m - 1)), dtype=np.int64)
+    head = head.reshape((n + 1) ** (m - 1), m - 1)
+    head = head[head.sum(axis=1) <= n]
+    return np.hstack([head, n - head.sum(axis=1, keepdims=True)])
+
+
+def enumerated(w, n):
+    """A second oracle for M <= 4, n <= 8: every composition, each costed as
+    brute_force_partition's DP sums it, term 0 + (term 1 + (... + term M-1)).
+
+    Returns the compositions, those sums, and the first composition (in
+    lexicographic order) with the least sum.
+    """
+    nw = n * WeightVector(w).weights
+    comps = compositions(n, nw.size)
+    terms = (comps - nw) ** 2
+    total = terms[:, -1]
+    for j in range(nw.size - 2, -1, -1):
+        total = terms[:, j] + total
+    return comps, total, comps[int(np.argmin(total))]
+
+
+# weights of k/8 for n <= 8: every target, term and sum is exact, so exact ties
+# stay ties in every summation order
+DYADIC = [np.array(raw) / sum(raw) for m in range(1, 5)
+          for raw in itertools.product(range(5), repeat=m) if sum(raw) in (1, 2, 4, 8)]
+
+
+class TestOracleAgainstEnumeration:
+    @pytest.mark.parametrize("w, n, sizes", [
+        ([0.5, 0.5], 1, [0, 1]),
+        ([0.25, 0.25, 0.5], 1, [0, 0, 1]),
+        ([0.5, 0.0, 0.5], 3, [1, 0, 2]),  # [2, 0, 1] costs the same
+        ([0.0, 0.5, 0.5], 1, [0, 0, 1]),
+        ([0.0, 1.0, 0.0], 3, [0, 3, 0]),
+    ])
+    def test_exact_ties_go_to_the_smallest_sizes(self, w, n, sizes):
+        alloc, cost = brute_force_partition(w, n)
+        assert alloc.sizes.tolist() == sizes == enumerated(w, n)[2].tolist()
+        assert cost == mse(alloc, w)
+
+    def test_equals_enumeration_on_exact_weights(self):
+        assert len(DYADIC) > 100 and sum((w == 0).any() for w in DYADIC) > 50
+        for w in DYADIC:
+            for n in range(1, 9):
+                alloc, cost = brute_force_partition(w, n)
+                sizes = enumerated(w, n)[2]
+                assert alloc.sizes.tolist() == sizes.tolist(), (w, n)
+                d = sizes - n * w
+                assert cost == np.mean(d * d), (w, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights_strategy.filter(lambda xs: len(xs) <= 4), st.integers(1, 8))
+    def test_equals_enumeration(self, raw, n):
+        w = np.asarray(raw) / sum(raw)
+        alloc, cost = brute_force_partition(w, n)
+        comps, total, first = enumerated(w, n)
+        at = int(np.flatnonzero((comps == alloc.sizes).all(axis=1))[0])
+        # the DP reaches the least of these sums exactly: a float sum never falls
+        # as a term rises. Where one composition alone reaches it, that is the
+        # DP's; where several do, a sum may round a worse tail onto the least.
+        assert total[at] == total.min()
+        if np.count_nonzero(total == total.min()) == 1:
+            assert alloc.sizes.tolist() == first.tolist()
+        d = alloc.sizes - n * WeightVector(w).weights
+        assert cost == np.mean(d * d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights_strategy.filter(lambda xs: len(xs) <= 4), st.integers(1, 8))
+def test_partition_minimises_every_symmetric_convex_cost(raw, n):
+    # Hamilton's method: the greedy also minimises sum |d| (what mae reports),
+    # sum d**4 and max |d| over all compositions
+    w = np.asarray(raw) / sum(raw)
+    nw = n * WeightVector(w).weights
+    got = np.abs(lmse_partition(w, n).sizes - nw)
+    every = np.abs(compositions(n, nw.size) - nw)
+    for cost in (lambda d: d.sum(axis=-1), lambda d: (d**4).sum(axis=-1),
+                 lambda d: d.max(axis=-1)):
+        assert cost(got) <= cost(every).min() + 1e-12
 
 
 def test_exactness_when_expectations_integral():

@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from finset.cli import EXIT_VALIDATION, main
 from finset.partition import (
     Allocation,
     ResidualVector,
@@ -143,6 +145,27 @@ class TestMultinomial:
         w = WeightVector([0.1] * 10 + [0.0])
         counts = multinomial_resample(w, 3, TopStream(0)).sizes
         assert list(counts) == [0] * 9 + [3, 0]
+
+    def test_draws_past_memory_are_refused(self, monkeypatch, capsys):
+        # a stub refuses every array past 2**30 entries: no real allocation is tried
+        # for the 10**12 keys and uniforms these draws need
+        real = np.empty
+
+        def empty(shape, *args, **kwargs):
+            if math.prod(np.atleast_1d(shape).tolist()) > 2**30:
+                raise MemoryError("stubbed: no memory for this array")
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        message = ("n = 1000000000000 multinomial draws need 14901.2 GiB of memory, "
+                   "more than can be allocated")
+        rng = RngStream(3)
+        with pytest.raises(ValidationError) as info:
+            multinomial_resample([0.5, 0.5], 10**12, rng)
+        assert str(info.value) == message and rng.draws == 0
+        argv = ["resample", "--method", "multinomial", "--weights", "0.5,0.5", "--n", str(10**12)]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSystematic:
