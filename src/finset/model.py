@@ -217,9 +217,13 @@ def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
     # a nan or infinite y_obs, or a nan t, would surface as a particle collapse
     _finite("y_obs", y_obs)
     t = _integer("t", t, 1)
-    states, weights, estimates, svs = _step(
-        p.states[None], p.weights.weights[None], np.array([y_obs], dtype=float), t,
-        [rng], params, n_out, [(method, [rng])], True, 1)
+    try:
+        states, weights, estimates, svs = _step(
+            p.states[None], p.weights.weights[None], np.array([y_obs], dtype=float), t,
+            [rng], params, n_out, [(method, [rng])], True, 1)
+    except MemoryError:  # the gather: an index and a state a particle, 8 bytes each
+        raise ValidationError(f"num_out = {n_out} particles need {16 * n_out / 2**30:.1f} GiB "
+                              f"of memory, more than can be allocated") from None
     if not estimates.size:
         raise _collapse(t)
     weights = np.broadcast_to(weights[0], n_out)  # the column of 1/n, as a row
@@ -266,26 +270,31 @@ def run_benchmark(config: BenchmarkConfig,
     if config.resample_each_step:
         schemes.append((config.baseline_method, family(2)))
 
-    xs, ys = simulate_truth(steps, family(0), params)
-    states = normals(filter_rngs, npart)  # initial particles ~ N(0, 1)
-    weights = np.full((runs, 1), 1.0 / npart)  # the prior as a column: equal weights
-    estimates = np.empty((runs, steps))
-    svs = {m: np.empty((runs, steps)) for m in config.methods}
-    collapse = None
-    for t in range(1, steps + 1):
-        states, weights, est, step_svs = _step(
-            states, weights, ys[:len(filter_rngs), t - 1], t, filter_rngs, params, npart,
-            schemes, config.resample_each_step, len(config.methods))
-        live = len(est)
-        if live < len(filter_rngs):
-            # the runs from the collapsed one on can no longer be the one reported
-            collapse = _collapse(t, live)
-            if not live:
-                break
-            filter_rngs = filter_rngs[:live]
-        estimates[:live, t - 1] = est
-        for m, sv in zip(config.methods, step_svs):  # the baseline's, last, is not taken
-            svs[m][:live, t - 1] = sv
+    try:
+        xs, ys = simulate_truth(steps, family(0), params)
+        states = normals(filter_rngs, npart)  # initial particles ~ N(0, 1)
+        weights = np.full((runs, 1), 1.0 / npart)  # the prior as a column: equal weights
+        estimates = np.empty((runs, steps))
+        svs = {m: np.empty((runs, steps)) for m in config.methods}
+        collapse = None
+        for t in range(1, steps + 1):
+            states, weights, est, step_svs = _step(
+                states, weights, ys[:len(filter_rngs), t - 1], t, filter_rngs, params, npart,
+                schemes, config.resample_each_step, len(config.methods))
+            live = len(est)
+            if live < len(filter_rngs):
+                # the runs from the collapsed one on can no longer be the one reported
+                collapse = _collapse(t, live)
+                if not live:
+                    break
+                filter_rngs = filter_rngs[:live]
+            estimates[:live, t - 1] = est
+            for m, sv in zip(config.methods, step_svs):  # the baseline's, last, is not taken
+                svs[m][:live, t - 1] = sv
+    except MemoryError:  # a float64 array of runs x particles, and one of runs x steps
+        raise ValidationError(f"runs x particles = {runs} x {npart} with {steps} steps need at "
+                              f"least {8 * runs * max(npart, steps) / 2**30:.1f} GiB of memory, "
+                              f"more than can be allocated") from None
     if collapse is not None:
         raise collapse
 

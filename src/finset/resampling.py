@@ -19,9 +19,9 @@ counts summing to n), which every metric takes as it is:
 Each scheme has one row kernel (``_ROW_KERNELS``): R weight rows at n units
 (a ``partition._Rows``) and R streams in, (R, M) int64 counts out, row r what
 the scheme gives that row with stream r alone. The public functions are its
-R = 1 case. Multinomial and residual count their draws by sorting each row's
-exact integer keys on its own; systematic differences its cumulative counts
-ceil(n*cdf - u) block by block; msv is ``lmse_partition``'s rule.
+R = 1 case. Multinomial and residual sort each row's integer keys as doubles,
+or one row's few draws alone to search the CDF; systematic differences its
+cumulative counts ceil(n*cdf - u) block by block; msv is ``lmse_partition``'s.
 
 Sampling variance is the mean squared discrepancy between counts and their
 real-valued expectations n*w, identical to the partition MSE metric.
@@ -95,18 +95,27 @@ def _draw_counts(held: list, ks, rngs) -> np.ndarray:
     """(R, M) counts of ks[r] inverse-CDF draws from rngs[r] on CDF row r.
 
     ks is one int for every row, or R ints. A draw lands in the first bin whose
-    CDF value exceeds it; a uniform is j*2**-53 exactly, so u < c iff j <
-    ceil(c*2**53). Row r of the (R, M + max ks) keys holds the even keys
-    2*ceil(c*2**53) <= 2**54 of its CDF, the odd keys 2*j + 1 < 2**54 of its
-    draws and pads 2**54 + 1, and is sorted on its own. Read in order, the odd
+    CDF value exceeds it. One row of k <= M/4 draws sorts them alone and
+    searches the CDF, which ends at 1 > u (faster there). Else a uniform is
+    j*2**-53 exactly, so u < c iff j < ceil(c*2**53). Row r of the (R, M + max
+    ks) keys holds the even keys 2*ceil(c*2**53) <= 2**54 of its CDF, the odd
+    keys 2*j + 1 < 2**54 of its draws and pads 2**54 + 1, each with bit 60 set,
+    and is sorted on its own as normal positive doubles, which order as their
+    bits do (subnormals read as 0 under flush-to-zero). Read in order, the odd
     keys before an even key are its bin's draws; a row's pads, read as the next
     row's bin 0 draws, are taken off after. The CDF, held's one item, is freed
     once its keys are written; the keys are read 2**15 at a time: beside them,
     the CDF, the draws or the counts, never two of them, are alive.
     """
     cdf = held.pop()
-    (r, m), k = cdf.shape, np.asarray(ks)
-    keys = np.empty((r, m + int(k.max())), dtype=np.uint64)
+    (r, m), k, most = cdf.shape, np.asarray(ks), int(np.max(ks))
+    if r == 1 and 4 * most <= m:  # drawn as the keyed draws below are
+        u = (uniform_rows(rngs, most) if k.ndim == 0 else _uniform_runs(rngs, k)).reshape(-1)
+        u.sort()
+        bins = cdf[0].searchsorted(u, side="right")
+        del cdf, u  # before the counts
+        return np.bincount(bins, minlength=m)[None]
+    keys = np.empty((r, m + most), dtype=np.uint64)
     for b in range(0, m, step := max(1, _BLOCK // r)):  # block-sized temporaries, not M-sized
         x = cdf[:, b:b + step] * 2.0**53
         np.multiply(np.ceil(x, out=x), 2.0, out=keys[:, b:b + x.shape[1]], casting="unsafe")
@@ -114,7 +123,7 @@ def _draw_counts(held: list, ks, rngs) -> np.ndarray:
     del cdf  # its last keys are written: freed before the draws
     draws = keys[:, m:]
     if k.ndim == 0:  # every row draws k: one (R, k) block
-        np.multiply(uniform_rows(rngs, int(k)), 2.0**54, out=draws, casting="unsafe")
+        np.multiply(uniform_rows(rngs, most), 2.0**54, out=draws, casting="unsafe")
     elif (u := _uniform_runs(rngs, k)).size == draws.size:  # no row is short: no pads
         np.multiply(u.reshape(draws.shape), 2.0**54, out=draws, casting="unsafe")
     else:
@@ -122,7 +131,8 @@ def _draw_counts(held: list, ks, rngs) -> np.ndarray:
         draws[np.arange(draws.shape[1]) < k[:, None]] = np.multiply(u, 2.0**54, out=u)
     u = None  # freed before the sort and the counts
     draws |= np.uint64(1)
-    keys.sort(axis=1)
+    keys |= np.uint64(1 << 60)  # every key a normal double: see above
+    keys.view(np.float64).sort(axis=1)
     counts = np.empty((r, m), dtype=np.int64)
     flat, out, done, last = keys.reshape(-1), counts.reshape(-1), 0, -1
     for b in range(0, flat.size, _BLOCK):

@@ -21,6 +21,7 @@ from finset.model import (
 )
 from finset import model, partition, resampling
 from finset import rng as rng_module
+from finset.cli import EXIT_VALIDATION, main
 from finset.partition import Allocation, ValidationError, WeightVector, lmse_partition, residuals
 from finset.resampling import RESAMPLERS, ParticleSet
 from finset.rng import RngStream
@@ -293,6 +294,37 @@ class TestRunBenchmark:
         assert set(t for t, _ in agg) == {1, 2, 3, 4}
         manual = np.mean(result.sv["msv"][:, 1])
         assert agg[(2, "msv")] == pytest.approx(manual)
+
+    def test_arrays_past_memory_are_refused(self, monkeypatch, capsys):
+        # stubs refuse every array past 2**30 entries: no real allocation is tried
+        # for the 10**12 particles, steps or resampled copies
+        real_empty, real_repeat = np.empty, np.repeat
+
+        def empty(shape, *args, **kwargs):
+            if math.prod(np.atleast_1d(shape).tolist()) > 2**30:
+                raise MemoryError("stubbed: no memory for this array")
+            return real_empty(shape, *args, **kwargs)
+
+        def repeat(a, repeats, *args, **kwargs):
+            if np.sum(repeats) > 2**30:
+                raise MemoryError("stubbed: no memory for this array")
+            return real_repeat(a, repeats, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        monkeypatch.setattr(np, "repeat", repeat)
+        argv = ["benchmark", "--particles", str(10**12), "--runs", "1", "--steps", "1"]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: runs x particles = 1 x 1000000000000 with 1 steps need at least "
+            "7450.6 GiB of memory, more than can be allocated\n")
+        with pytest.raises(ValidationError, match=r"^runs x particles = 2 x 3 with "
+                           r"1000000000000 steps need at least 14901\.2 GiB of memory"):
+            run_benchmark(BenchmarkConfig(num_particles=3, num_steps=10**12, num_mc_runs=2))
+        p = ParticleSet([0.0, 1.0], [0.5, 0.5])
+        for method in ("systematic", "residual", "msv"):  # the gather of 10**12 copies
+            with pytest.raises(ValidationError, match=r"^num_out = 1000000000000 particles "
+                               r"need 14901\.2 GiB of memory, more than can be allocated$"):
+                sir_step(p, 0.3, 1, method, RngStream(0), num_out=10**12)
 
     def test_columns_are_runs_by_steps(self):
         cfg = BenchmarkConfig(num_particles=8, num_steps=5, num_mc_runs=3, seed=4,

@@ -778,11 +778,13 @@ def fuzz_cdfs(g, m):
 @pytest.mark.parametrize("m, k", [
     (3, 5), (100, 100), (4095, 4096), (5000, 100), (4096, 4096), (5000, 20_000),
     (20_000, 80_000), (20_000, 160_000), (65_536, 4096), (300_000, 4096), (300_000, 1000),
+    # k = M/4 searches the CDF for each sorted draw, k = M/4 + 1 reads keys
+    (4096, 1024), (4096, 1025), (300_000, 75_000), (300_000, 75_001),
 ])
 def test_readouts_agree_across_the_rule(m, k):
-    # The keyed readout of one row, which every call takes, against a search
-    # of the sorted draws, from a few CDF values and draws to 300 000 and
-    # 160 000, balanced and lopsided.
+    # Both readouts of one row, the search at k <= M/4 and the keyed sort
+    # above it, against a search of the sorted draws, from a few CDF values
+    # and draws to 300 000 and 160 000, balanced and lopsided.
     g = np.random.default_rng(m + k)
     for kind, cdf in fuzz_cdfs(g, m):
         assert cdf[-1] <= 1.0 and np.all(np.diff(cdf) >= 0), kind
@@ -892,15 +894,38 @@ def test_one_call_frees_each_array_once_read(name, sigma):
     assert peak <= CALL_ARRAYS[name] * 8 * m, peak / (8 * m)
 
 
-def test_largest_uniform_skips_trailing_zero_weight_on_merged_readout():
-    # as TestMultinomial's stub, at a size that once took the merged readout
+# M equal weights and a trailing zero, n draws: (5000, 5000) takes the keyed
+# readout (it once took the merged one), (40, 10) the search, as n <= (M + 1)/4
+@pytest.mark.parametrize("m, n", [(5000, 5000), (40, 10)], ids=["keyed", "search"])
+def test_largest_uniform_skips_trailing_zero_weight_on_each_readout(m, n):
+    # as TestMultinomial's stub
     class TopStream(RngStream):
         def next_uniforms(self, k):
             return np.full(k, 1 - 2**-53)
 
-    w = WeightVector([1 / 5000] * 5000 + [0.0])
-    counts = multinomial_resample(w, 5000, TopStream(0)).sizes
+    w = WeightVector([1 / m] * m + [0.0])
+    counts = multinomial_resample(w, n, TopStream(0)).sizes
     cdf = _cdf(np.cumsum(w.weights))
-    want = np.diff(search_cum(cdf, np.full(5000, 1 - 2**-53)), prepend=0)
+    want = np.diff(search_cum(cdf, np.full(n, 1 - 2**-53)), prepend=0)
     assert np.array_equal(counts, want)
-    assert counts.sum() == 5000 and counts[-1] == 0
+    assert counts.sum() == n and counts[-1] == 0
+
+
+def test_keys_with_bit_60_sort_as_normal_doubles():
+    # the largest CDF key 2*2**53, the largest draw key 2*(2**53 - 1) + 1 and
+    # the pad 2**54 + 1, each with bit 60 set, are finite normal positive
+    # doubles, not subnormals that flush-to-zero would read as 0
+    bit = np.uint64(1 << 60)
+    top = np.array([0, 2 * 2**53, 2 * (2**53 - 1) + 1, 2**54 + 1], dtype=np.uint64) | bit
+    as_float = top.view(np.float64)
+    assert np.all(np.isfinite(as_float)) and np.all(as_float >= np.finfo(np.float64).tiny)
+    # adversarial rows: a CDF key equal to a draw's value, repeated CDF keys,
+    # pads, and keys an ulp apart, sorted as doubles and as uint64
+    g = np.random.default_rng(60)
+    j = g.integers(0, 2**53, (50, 40), dtype=np.uint64)
+    keys = np.concatenate([2 * j, 2 * j + 1, 2 * j[:, :5], np.full((50, 3), 2**54 + 1, np.uint64),
+                           2 * (j[:, :4] + 1) + 1, np.full((50, 2), 2 * 2**53, np.uint64)], axis=1)
+    keys |= bit
+    want = np.sort(keys, axis=1)
+    keys.view(np.float64).sort(axis=1)
+    assert np.array_equal(keys, want)
