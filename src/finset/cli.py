@@ -13,13 +13,8 @@ import argparse
 import os
 import sys
 
-from .model import (
-    METHODS,
-    BenchmarkConfig,
-    ParticleCollapseError,
-    aggregate_mean_sv,
-    run_benchmark,
-)
+from .model import (METHODS, BenchmarkConfig, ParticleCollapseError, aggregate_mean_sv,
+                    run_benchmark)
 from .partition import ValidationError, as_weights, lmse_partition, mae, mse, residuals
 from .resampling import RESAMPLERS, sampling_variance
 from .rng import RngStream

@@ -3,22 +3,19 @@
 State transition:   x_t = 1 + sin(omega*pi*t) + phi1*x_{t-1} + u_t,
 with Gamma(shape, scale) process noise. The observation is quadratic
 (phi2*x^2 + v) up to the switch timestep and linear (phi3*x - 2 + v) after,
-with Gaussian observation noise.
+with Gaussian observation noise. The truth's step t takes k + 2 uniforms of
+its stream: the k of its Gamma noise (k the shape if whole, else 1), then the
+Box-Muller pair of its observation noise.
 
 The benchmark runs one shared SIR filter per Monte Carlo run and, at every
-step, applies each configured resampling scheme to the identical
-pre-resampling weighted population, recording the sampling variance each
-scheme attains. A designated baseline scheme (systematic by default)
-advances the shared population, so every scheme sees bit-identical inputs.
-
-All runs step together as the rows of (runs, particles) arrays, each run
-with its own stream rows (``rng._Streams``), so every value is the one a run
-stepped alone would give; ``sir_step`` is that step for one run. Each step
-builds the runs' CDFs once (``partition._Rows``), each scheme's row kernel
-resamples every run in one call, and its sampling variance is taken at once.
-``RESAMPLERS`` is the extension point: an entry replaced by another function
-is called once per run, with that run's population and stream, and must
-return M counts summing to n. ``run_benchmark`` returns (runs, steps) columns.
+step, applies each configured resampling scheme to the identical weighted
+population, recording each scheme's sampling variance. A baseline scheme
+(systematic by default) advances the population. All runs step together as
+the rows of (runs, particles) arrays, each with its own stream rows
+(``rng._Streams``), so every value is the one a run stepped alone would
+give; ``sir_step`` is that step for one run. ``RESAMPLERS`` is the extension
+point: an entry replaced by another function is called once per run, with
+that run's population and stream, and must return M counts summing to n.
 """
 
 from __future__ import annotations
@@ -32,7 +29,9 @@ from .partition import ValidationError, _check_n, _Rows
 # counts_to_indices and sampling_variance are not called here; finbench's tracer wraps them
 from .resampling import (_ROW_KERNELS, RESAMPLERS, ParticleSet, _sv, counts_to_indices,
                          sampling_variance)
-from .rng import RngStream, _check_type, _finite, _integer, _stream_rows, _Streams, gammas, normals
+from .rng import (_BLOCK, RngStream, _check_type, _finite, _gamma_variates, _integer,
+                  _normal_variates, _spawn_rows, _stream_rows, _Streams, gammas, normals,
+                  uniform_rows)
 
 METHODS = tuple(RESAMPLERS)
 
@@ -103,10 +102,8 @@ class BenchmarkConfig:
 
 @dataclass(frozen=True, eq=False)
 class BenchmarkResult:
-    """(runs, steps) float64 columns: row r, column t - 1 is run r at step t.
-
-    ``sv`` maps each method, in ``config.methods`` order, to its column.
-    """
+    """(runs, steps) float64 columns, row r and column t - 1 run r at step t; ``sv``
+    maps each method, in ``config.methods`` order, to its column."""
 
     x_true: np.ndarray
     y_obs: np.ndarray
@@ -117,16 +114,30 @@ class BenchmarkResult:
         return self.estimate.size
 
 
+def _into(op, a, b, own):
+    """op(a, b) (add, subtract, multiply, divide) into own, the caller's a or b, when own is
+    float64 and the other a float or a float64 array of own's shape or a column of its rows."""
+    other = b if own is a else a
+    if type(own) is np.ndarray and own.dtype == np.float64 and (isinstance(other, float) or (
+            type(other) is np.ndarray and other.dtype == np.float64
+            and other.shape in (own.shape, own.shape[:-1] + (1,)))):
+        return op(a, b, out=own)
+    return op(a, b)
+
+
 def state_transition(x_prev, t, u, params: ModelParams = ModelParams()):
     """Propagate the state one step; works elementwise on arrays."""
-    return 1.0 + np.sin(params.omega * np.pi * t) + params.phi1 * np.asarray(x_prev) + u
+    x = params.phi1 * np.asarray(x_prev)
+    x = _into(np.add, x, 1.0 + np.sin(params.omega * np.pi * t), x)  # (1 + sin) + phi1*x
+    return _into(np.add, x, u, x)
 
 
 def measurement(x, t, v, params: ModelParams = ModelParams()):
     """Observation function: quadratic regime through the switch step, linear after."""
-    if t <= params.switch_time:
-        return params.phi2 * np.asarray(x) ** 2 + v
-    return params.phi3 * np.asarray(x) - 2.0 + v
+    quadratic = t <= params.switch_time
+    y = np.asarray(x) ** 2 if quadratic else params.phi3 * np.asarray(x)
+    y = _into(np.multiply, y, params.phi2, y) if quadratic else _into(np.subtract, y, 2.0, y)
+    return _into(np.add, y, v, y)
 
 
 def likelihood(y_obs, x, t, params: ModelParams = ModelParams()):
@@ -136,8 +147,11 @@ def likelihood(y_obs, x, t, params: ModelParams = ModelParams()):
 
 def _log_likelihood(y_obs, x, t, params):
     std = params.obs_noise_std
-    d = (y_obs - measurement(x, t, 0.0, params)) / std
-    return -0.5 * d * d - math.log(math.sqrt(2.0 * math.pi) * std)
+    d = measurement(x, t, 0.0, params)
+    d = _into(np.divide, _into(np.subtract, y_obs, d, d), std, d)
+    ll = -0.5 * d  # then times d: two arrays
+    return _into(np.subtract, _into(np.multiply, ll, d, ll),
+                 math.log(math.sqrt(2.0 * math.pi) * std), ll)
 
 
 def _collapse(t, run=None) -> ParticleCollapseError:
@@ -152,7 +166,7 @@ def _step(states, prior, y_obs, t, rngs, params, n, schemes, advance, measured):
     and is weighed against y_obs[r]. The rows before the first collapsed one are
     resampled at n units by each (method, streams) of schemes; with advance, the
     last scheme's counts copy the states, whose prior is then a column of 1/n.
-    Returns the states, their weights, the estimates and the first ``measured`` schemes' R svs.
+    Returns the states, their weights, the estimates and the first ``measured`` svs.
     """
     noise = gammas(rngs, params.gamma_shape, params.gamma_scale, states.shape[1])
     states = state_transition(states, t, noise, params)
@@ -175,7 +189,8 @@ def _step(states, prior, y_obs, t, rngs, params, n, schemes, advance, measured):
     states.flags.writeable = stored.flags.writeable = False
     if not live:
         return states, w, estimates, []
-    rows, nw, svs, m = _Rows(stored, n), n * stored, [], states.shape[1]
+    rows, svs, m = _Rows(stored, n), [], states.shape[1]
+    d = np.empty_like(stored) if measured else None  # each sv's n*w, then its discrepancies
     for method, streams in schemes:
         counts = None  # the last scheme's are freed before this one draws
         fn, streams = RESAMPLERS[method], streams[:live]
@@ -194,11 +209,11 @@ def _step(states, prior, y_obs, t, rngs, params, n, schemes, advance, measured):
         else:
             counts = kernel(rows, streams)
         if len(svs) < measured:
-            svs.append(_sv(counts, nw))
-    del rows, nw, stored  # their arrays are freed before the gather
+            svs.append(_sv(counts, np.multiply(stored, n, out=d), d))
+    del rows, stored, d  # their arrays are freed before the gather
     if advance:
-        copies = np.repeat(np.arange(states.size), counts.ravel())
-        states, w = states.ravel()[copies].reshape(live, n), np.full((live, 1), 1.0 / n)
+        states = np.repeat(states.ravel(), counts.ravel()).reshape(live, n)
+        w = np.full((live, 1), 1.0 / n)
     return states, w, estimates, svs
 
 
@@ -234,20 +249,26 @@ def simulate_truth(num_steps, rng, params: ModelParams = ModelParams()):
     """Ground-truth trajectories and their observations, steps 1..num_steps.
 
     rng is one stream, for two arrays of num_steps values, or a sequence of R
-    streams, for two (R, num_steps) arrays whose row r comes from rng[r].
-    Each step draws its Gamma noise, then its observation noise.
+    streams, for two (R, num_steps) arrays whose row r comes from rng[r]. The
+    steps' uniforms (see above) are drawn together, 2**15 (or one step's) at most.
     """
     num_steps = _integer("num_steps", num_steps, 1, limited=True)
     rows = _stream_rows([rng] if isinstance(rng, RngStream) else rng)  # one: a lone stream
-    xs = np.empty((len(rows) if isinstance(rows, _Streams) else 1, num_steps))
-    ys = np.empty(xs.shape)
-    x = np.zeros(len(xs))
-    for t in range(1, num_steps + 1):
-        u = gammas(rows, params.gamma_shape, params.gamma_scale, 1)[..., 0]
-        x = state_transition(x, t, u, params)
-        v = normals(rows, 1)[..., 0] * params.obs_noise_std
-        xs[:, t - 1] = x
-        ys[:, t - 1] = measurement(x, t, v, params)
+    rows = [rows] if isinstance(rows, RngStream) else rows  # which uniform_rows draws alone
+    # a step's Gamma uniforms: past 2**53 its draw is refused
+    k = int(params.gamma_shape) if float(params.gamma_shape).is_integer() else 1
+    xs = np.empty((len(rows), num_steps))
+    ys, x = np.empty(xs.shape), np.zeros(len(xs))
+    block = max(1, _BLOCK // (len(xs) * (k + 2)))
+    for b in range(0, num_steps, block):
+        s = min(block, num_steps - b)
+        u = uniform_rows(rows, s * (k + 2)).reshape(len(xs), s, k + 2)
+        # summed along a contiguous axis, as gammas sums a draw's uniforms at size 1
+        noise = _gamma_variates(u[..., :k], params.gamma_shape, params.gamma_scale, -1)
+        v = _normal_variates(u[..., k:], 1)[..., 0] * params.obs_noise_std
+        for j, t in enumerate(range(b + 1, b + s + 1)):  # the state recursion, step by step
+            x = xs[:, t - 1] = state_transition(x, t, noise[:, j], params)
+            ys[:, t - 1] = measurement(x, t, v[:, j], params)
     return (xs[0], ys[0]) if isinstance(rng, RngStream) else (xs, ys)
 
 
@@ -261,16 +282,17 @@ def run_benchmark(config: BenchmarkConfig,
     _check_type("config", config, BenchmarkConfig)
     _check_type("params", params, ModelParams)
     npart, steps, runs = config.num_particles, config.num_steps, config.num_mc_runs
-    # each family spawns every run's stream at once; one run keeps its lone stream
-    rows = _stream_rows(map(RngStream(config.seed).spawn, range(runs)))
-    family = rows.spawn if runs > 1 else lambda key: [rows.spawn(key)]
-    filter_rngs = family(1)
-    # each scheme in turn, and then the baseline, which advances the population
-    schemes = [(m, family(3 + i)) for i, m in enumerate(config.methods)]
-    if config.resample_each_step:
-        schemes.append((config.baseline_method, family(2)))
-
     try:
+        # each family spawns every run's stream at once; one run keeps its lone stream
+        root = RngStream(config.seed)
+        keys = np.arange(runs, dtype=np.uint64) if runs > 1 else None
+        rows = root.spawn(0) if keys is None else _spawn_rows(np.uint64(root.seed), keys)
+        family = rows.spawn if runs > 1 else lambda key: [rows.spawn(key)]
+        filter_rngs = family(1)
+        # each scheme in turn, and then the baseline, which advances the population
+        schemes = [(m, family(3 + i)) for i, m in enumerate(config.methods)]
+        if config.resample_each_step:
+            schemes.append((config.baseline_method, family(2)))
         xs, ys = simulate_truth(steps, family(0), params)
         states = normals(filter_rngs, npart)  # initial particles ~ N(0, 1)
         weights = np.full((runs, 1), 1.0 / npart)  # the prior as a column: equal weights

@@ -1,14 +1,11 @@
 """Least-mean-square-error integer partitioning of N units across M weighted bins.
 
-Given nonnegative proportions w summing to 1 and an integer total n, the
-partition assigns each bin either Floor(n*w[m]) or Floor(n*w[m]) + 1 units,
-handing the surplus units to the bins with the largest fractional residuals.
-That allocation minimizes the mean squared discrepancy (1/M) * sum (size[m]
-- n*w[m])^2 over all nonnegative integer allocations summing to n.
-
-Also provided: the MSE/MAE discrepancy metrics, a strict |size - n*w| < 1
-bound check, a single-unit-transfer local-optimality check, and an exact
-minimizer by a min-plus DP over bins, used as an independent test oracle.
+Given nonnegative proportions w summing to 1 and an integer total n, each bin
+gets Floor(n*w[m]) or Floor(n*w[m]) + 1 units, the surplus going to the bins of
+the largest fractional residuals. That minimizes the mean squared discrepancy
+(1/M) * sum (size[m] - n*w[m])^2 over all allocations of n. Also provided: the
+MSE/MAE metrics, a strict |size - n*w| < 1 bound check, a single-unit-transfer
+local-optimality check, and an exact min-plus DP over bins, the test oracle.
 """
 
 from __future__ import annotations
@@ -79,11 +76,8 @@ def _normalised(weights) -> np.ndarray:
 # compile, one more that is never used on every import
 @dataclass(frozen=True, eq=False, init=False)
 class WeightVector:
-    """M nonnegative proportions summing to one.
-
-    Entries must be finite, >= 0 and sum to 1 within ``WEIGHT_SUM_TOL``; the
-    stored vector is renormalized by its sum so filters feeding in
-    near-normalized weights get consistent treatment.
+    """M nonnegative proportions summing to one: finite, >= 0 and summing to 1 within
+    ``WEIGHT_SUM_TOL``, stored over their sum, so near-normalized weights are treated alike.
     """
 
     weights: np.ndarray
@@ -98,13 +92,11 @@ class WeightVector:
 def _cdf(running: np.ndarray) -> np.ndarray:
     """Turn running sums of nonnegative mass, or (R, M) rows of them, into CDFs, in place.
 
-    Running sums of weights that add to 1 within rounding can pass 1 before
-    the last entry, or end a few ulps short of 1. Every entry at or above the
-    smaller of 1 and the last one is set to 1: the CDF is then nondecreasing
-    within [0, 1], which both count kernels rely on, and ends at 1 without
-    handing a shortfall to trailing zero-mass bins. Adding a nonnegative float
-    never lowers a float sum, so those entries are a suffix: one search finds
-    it in one row, and a compare against each row's bound marks it in many.
+    Sums of weights adding to 1 within rounding can pass 1 before the last entry,
+    or end a few ulps short. Every entry at or above the smaller of 1 and the last
+    is set to 1: the CDF is nondecreasing within [0, 1], as both count kernels need,
+    and gives no shortfall to trailing zero-mass bins. Those entries are a suffix:
+    one search finds it in one row, a compare against each row's bound in many.
     """
     if running.ndim == 1:
         running[running.searchsorted(min(running[-1], 1.0)):] = 1.0
@@ -121,10 +113,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class _Rows:
     """R rows of weights at n units, and the split of each that the row kernels read.
 
-    ``weights`` is (R, M), each row as WeightVector stores it. Each part is built
-    for every row at once, row r as that row alone would give it, and only when
-    read: at M = 1e6 one costs what a systematic call does. The parts read by
-    more than one caller are kept read-only.
+    ``weights`` is (R, M), each row as WeightVector stores it. Each part is built for
+    every row at once, row r as that row alone would give it, and only when read (at
+    M = 1e6 one costs a systematic call); parts read by several callers are read-only.
     """
 
     def __init__(self, weights: np.ndarray, n: int):
@@ -298,10 +289,9 @@ def _lmse_rows(rows: _Rows, rngs=None) -> np.ndarray:
 def lmse_partition(w, n) -> Allocation:
     """Partition n units across bins proportionally to w, minimizing MSE.
 
-    Floors every expectation n*w[m], then gives one extra unit to each of the
-    bins holding the largest fractional residuals until the total reaches n.
-    Residual ties are broken by ascending index, so the output is
-    bit-reproducible. O(M): a selection finds the surplus-th largest residual.
+    Floors every expectation n*w[m], then gives one extra unit to each bin of the
+    largest fractional residuals until the total reaches n; ties go to the lower
+    index, so the output is bit-reproducible. O(M): one selection finds the cut.
     """
     n = _check_n(n)
     # handed over, not kept: _lmse_rows frees weights built here once it has read them
@@ -343,11 +333,9 @@ def check_theory1_bound(a, w) -> bool:
 
 
 def check_local_optimality(a, w) -> bool:
-    """True iff no single-unit transfer between bins can lower the MSE.
-
-    For a transfer of one unit from donor q (size >= 1) to receiver p, the
-    MSE changes by (2/M) * (1 + d[p] - d[q]) with d = sizes - N*w. The check
-    passes when every such change exceeds -LOCAL_OPTIMALITY_TOL.
+    """True iff no single-unit transfer between bins can lower the MSE: moving one unit
+    from donor q (size >= 1) to receiver p changes it by (2/M) * (1 + d[p] - d[q]), with
+    d = sizes - N*w, and every such change must exceed -LOCAL_OPTIMALITY_TOL.
     """
     d = _discrepancy(av := as_allocation(a), w)
     # (1 + d[p]) - d[q] rounds monotonically in d[p] and -d[q]: the worst change

@@ -1,30 +1,22 @@
 """Resampling schemes for weighted particle sets.
 
-Five schemes that all turn M weighted particles into n equally weighted
-copies. Each returns the ``Allocation`` it builds (M read-only int64 copy
-counts summing to n), which every metric takes as it is:
+Five schemes turn M weighted particles into n equally weighted copies, each
+returning the ``Allocation`` it builds (M read-only int64 counts summing to n):
 
-- ``msv``: the LMSE partition of the weights. Deterministic and draws
-  nothing; no count vector has a smaller sampling variance given the
-  weights, but as a resampler it is biased.
+- ``msv``: the LMSE partition of the weights; draws nothing. No count vector
+  has a smaller sampling variance, but as a resampler it is biased.
 - ``multinomial``: n independent inverse-CDF draws (n uniforms).
-- ``residual``: deterministic floors, remainder drawn multinomially from the
-  normalized residuals (n - L uniforms).
-- ``systematic``: one uniform offset, grid (u + i)/n swept through the CDF
-  (1 uniform).
-- ``rsr``: residual systematic resampling, whose single-sweep carry
-  recursion telescopes to systematic's counts at the same offset, so
-  ``rsr_resample`` is the systematic entry point under RSR's name.
+- ``residual``: floors, and the rest drawn multinomially from the normalized
+  residuals (n - L uniforms).
+- ``systematic``: one uniform offset, grid (u + i)/n swept through the CDF.
+- ``rsr``: residual systematic resampling, whose carry recursion telescopes
+  to systematic's counts at the same offset: ``systematic_resample`` by name.
 
 Each scheme has one row kernel (``_ROW_KERNELS``): R weight rows at n units
 (a ``partition._Rows``) and R streams in, (R, M) int64 counts out, row r what
-the scheme gives that row with stream r alone. The public functions are its
-R = 1 case. Multinomial and residual sort each row's integer keys as doubles,
-or one row's few draws alone to search the CDF; systematic differences its
-cumulative counts ceil(n*cdf - u) block by block; msv is ``lmse_partition``'s.
-
-Sampling variance is the mean squared discrepancy between counts and their
-real-valued expectations n*w, identical to the partition MSE metric.
+the scheme gives that row with stream r alone; the public functions are its
+R = 1 case. Sampling variance is the mean squared discrepancy between counts
+and n*w, identical to the partition MSE metric.
 """
 
 from __future__ import annotations
@@ -35,7 +27,7 @@ import numpy as np
 
 from .partition import (Allocation, ValidationError, WeightVector, as_allocation, as_weights,
                         _check_n, _lmse_rows, _real_array, _Rows, _stored, lmse_partition, mse)
-from .rng import _BLOCK, RngStream, _check_type, _Streams, _uniform_runs, uniform_rows
+from .rng import _BLOCK, RngStream, _check_type, _ragged_rows, _Streams, uniform_rows
 
 
 @dataclass(frozen=True, eq=False, init=False)  # as WeightVector
@@ -95,22 +87,22 @@ def _draw_counts(held: list, ks, rngs) -> np.ndarray:
     """(R, M) counts of ks[r] inverse-CDF draws from rngs[r] on CDF row r.
 
     ks is one int for every row, or R ints. A draw lands in the first bin whose
-    CDF value exceeds it. One row of k <= M/4 draws sorts them alone and
-    searches the CDF, which ends at 1 > u (faster there). Else a uniform is
-    j*2**-53 exactly, so u < c iff j < ceil(c*2**53). Row r of the (R, M + max
-    ks) keys holds the even keys 2*ceil(c*2**53) <= 2**54 of its CDF, the odd
-    keys 2*j + 1 < 2**54 of its draws and pads 2**54 + 1, each with bit 60 set,
-    and is sorted on its own as normal positive doubles, which order as their
-    bits do (subnormals read as 0 under flush-to-zero). Read in order, the odd
-    keys before an even key are its bin's draws; a row's pads, read as the next
-    row's bin 0 draws, are taken off after. The CDF, held's one item, is freed
-    once its keys are written; the keys are read 2**15 at a time: beside them,
-    the CDF, the draws or the counts, never two of them, are alive.
+    CDF value exceeds it. One row of k <= max(M/4, 1024) draws sorts them alone
+    and searches the CDF, which ends at 1 > u (faster there). Else a uniform is
+    j*2**-53, so u < c iff j < ceil(c*2**53). Row r of the (R, M + max ks) keys
+    holds the even keys 2*ceil(c*2**53) <= 2**54 of its CDF, the odd keys
+    2*j + 1 < 2**54 of its draws and pads 2**54 + 1 in place of a shorter row's
+    undrawn values, each with bit 60 set, and is sorted on its own as normal
+    positive doubles, which order as their bits do. Read in order, the odd keys
+    before an even key are its bin's draws; a row's pads, read as the next row's
+    bin 0 draws, are taken off after. The CDF, held's one item, is freed once
+    its keys are written; the keys are read 2**15 at a time: beside them, the
+    CDF, the draws or the counts, never two of them, are alive.
     """
     cdf = held.pop()
     (r, m), k, most = cdf.shape, np.asarray(ks), int(np.max(ks))
-    if r == 1 and 4 * most <= m:  # drawn as the keyed draws below are
-        u = (uniform_rows(rngs, most) if k.ndim == 0 else _uniform_runs(rngs, k)).reshape(-1)
+    if r == 1 and (4 * most <= m or most <= 1024):  # drawn as the keyed draws below are
+        u = _ragged_rows(rngs, k).reshape(-1)
         u.sort()
         bins = cdf[0].searchsorted(u, side="right")
         del cdf, u  # before the counts
@@ -122,14 +114,9 @@ def _draw_counts(held: list, ks, rngs) -> np.ndarray:
         del x  # before the next block's
     del cdf  # its last keys are written: freed before the draws
     draws = keys[:, m:]
-    if k.ndim == 0:  # every row draws k: one (R, k) block
-        np.multiply(uniform_rows(rngs, most), 2.0**54, out=draws, casting="unsafe")
-    elif (u := _uniform_runs(rngs, k)).size == draws.size:  # no row is short: no pads
-        np.multiply(u.reshape(draws.shape), 2.0**54, out=draws, casting="unsafe")
-    else:
-        draws[:] = 2**54 + 1
-        draws[np.arange(draws.shape[1]) < k[:, None]] = np.multiply(u, 2.0**54, out=u)
-    u = None  # freed before the sort and the counts
+    np.multiply(_ragged_rows(rngs, k), 2.0**54, out=draws, casting="unsafe")  # block freed at once
+    if k.ndim and k.min(initial=most) < most:  # a shorter row's undrawn values: pads
+        draws[np.arange(most) >= k[:, None]] = 2**54 + 1
     draws |= np.uint64(1)
     keys |= np.uint64(1 << 60)  # every key a normal double: see above
     keys.view(np.float64).sort(axis=1)
@@ -182,11 +169,10 @@ def systematic_resample(p, n, rng: RngStream) -> Allocation:
 def _systematic_counts(cdf: np.ndarray, n: int, u: np.ndarray) -> np.ndarray:
     """(R, M) counts of (R, M) CDF rows, row r at offset u[r].
 
-    Grid point (u + i)/n lies below cdf[m] for i < n*cdf[m] - u, so the
-    cumulative counts are ceil(n*cdf - u): whole floats in [0, n], built and
-    differenced 2**14 values at a time. When u is within an ulp of 1, n - u
-    rounds down to n - 1 (top), so where cdf is 1 they are set to n: the
-    row's total stays exact and its trailing zero weights get no copy.
+    Grid point (u + i)/n lies below cdf[m] for i < n*cdf[m] - u, so the cumulative
+    counts are ceil(n*cdf - u), built and differenced 2**14 values at a time. When u
+    is within an ulp of 1, n - u rounds down to n - 1 (top), so where cdf is 1 they are
+    set to n: the total stays exact and trailing zero weights get no copy.
     """
     u = u[:, None]
     top = np.ceil(n - u) < n
@@ -235,10 +221,9 @@ def residual_resample(p, n, rng: RngStream) -> Allocation:
 def sampling_variance(c, w):
     """Sampling variance of resample counts: the MSE against n*w.
 
-    Given an (R, M) integer array of count rows and an (R, M) array of the
-    weight rows they were drawn from, returns the R row variances, with n the
-    row's sum. Both are real numbers, as arrays or nested sequences, each row
-    checked as one vector would be and used as given, not renormalised.
+    Given (R, M) count rows and the (R, M) weight rows they were drawn from,
+    returns the R row variances, with n the row's sum. Each row is checked as
+    one vector would be and used as given, not renormalised.
     """
     if isinstance(c, Allocation):
         return mse(c, w)
@@ -263,9 +248,9 @@ def sampling_variance(c, w):
     return mse(c, w)
 
 
-def _sv(c: np.ndarray, nw: np.ndarray) -> np.ndarray:
-    """The R row variances of (R, M) counts c about their expectations nw = n*w."""
-    d = c - nw
+def _sv(c: np.ndarray, nw: np.ndarray, d=None) -> np.ndarray:
+    """The R row variances of (R, M) counts c about nw = n*w, through the float d if given."""
+    d = np.subtract(c, nw, out=d)
     d *= d
     return np.add.reduce(d, axis=1) / d.shape[1]  # np.mean, without its dispatch
 

@@ -1,17 +1,14 @@
 """Deterministic seedable uniform stream and the samplers built on it.
 
 The generator is pinned project-wide to counter-based SplitMix64: the i-th
-variate depends only on (seed, i), so scalar and vectorized draws agree
-bit-for-bit and golden test vectors are portable. Gaussian draws use
-Box-Muller; Gamma draws sum exponentials for an integer shape and invert the
-Gamma CDF, one uniform per draw, otherwise. Everything consumes uniforms
-from one explicit stream, so runs are reproducible from the seed alone.
-
-A variate depends only on (seed, position), so R streams are two uint64
-arrays of seeds and counts (``_Streams``), checked once, then drawn from,
-spawned and moved on by array operations; one stream draws alone, via
-``next_uniform(s)``. A draw takes at most 2**53 values, in blocks of 2**15
-that stay in L2 cache, each adding its start to a table of j*golden.
+variate depends only on (seed, i), so scalar and vectorized draws agree bit
+for bit and golden vectors are portable. R streams are two uint64 arrays of
+seeds and counts (``_Streams``), drawn from, spawned and moved on by array
+operations; one stream draws alone. A draw takes at most 2**53 values, mixed
+2**15 at a time. Each sampler is a draw and a uniforms-to-variates transform:
+Box-Muller for normals; for Gammas, a sum of exponentials at a whole shape,
+else the inverse CDF. ``model.simulate_truth`` draws k + 2 uniforms a step:
+the k of a Gamma (k the shape if whole, else 1), then a Box-Muller pair.
 """
 
 from __future__ import annotations
@@ -45,11 +42,9 @@ def _mix(z: int) -> int:
 
 
 class RngStream:
-    """SplitMix64 uniform stream over [0, 1).
+    """SplitMix64 uniform stream over [0, 1); ``draws`` counts the uniforms drawn so far.
 
-    Single-owner: concurrent tasks must each derive their own stream via
-    :meth:`spawn`. ``draws`` counts uniforms consumed so far, which the
-    resampling tests use to pin each scheme's exact consumption.
+    Single-owner: concurrent tasks must each derive their own stream via :meth:`spawn`.
     """
 
     __slots__ = ("seed", "_count")
@@ -71,11 +66,12 @@ class RngStream:
     def next_uniforms(self, k: int) -> np.ndarray:
         """k uniforms as a float64 array; identical to k scalar draws."""
         k = _check_size(k)
-        if k > _BLOCK:
-            return uniform_rows(_Streams(*np.uint64([[self.seed], [self._count]]), (self,)), k)[0]
-        out = np.empty(k)
-        _mix_into(_STEPS[:k] + np.uint64((self.seed + (self._count + 1) * _GOLDEN) & _MASK), out)
+        start = np.uint64((self.seed + (self._count + 1) * _GOLDEN) & _MASK)
         self._count += k
+        if k > _BLOCK:
+            return _mix_rows(start[None], k)[0]
+        out = np.empty(k)
+        _mix_into(_STEPS[:k] + start, out)
         return out
 
     def spawn(self, key: int) -> "RngStream":
@@ -106,9 +102,7 @@ class _Streams:
 
     def spawn(self, key: int) -> _Streams:
         """Each row's child, bit for bit ``RngStream.spawn(key)``, from every seed at once."""
-        z = self.seeds ^ np.uint64(_mix((key + 1) * _GOLDEN & _MASK))
-        _mix64(z, np.empty_like(z))
-        return _Streams(z, np.zeros_like(z))
+        return _spawn_rows(self.seeds, np.array([key], np.uint64))
 
     def _advance(self, ks) -> np.ndarray:
         """Each row's counter base for its next draw; row r and its RngStream move on ks[r]."""
@@ -127,6 +121,15 @@ class _Streams:
         out = draw(gs)
         self.counts[:] = [g._count for g in gs]
         return out
+
+
+def _spawn_rows(seeds, keys: np.ndarray) -> _Streams:
+    """Rows of ``RngStream(seed).spawn(key)`` for uint64 seeds and keys that broadcast."""
+    z = (keys + np.uint64(1)) * _U_GOLDEN  # wraps mod 2**64, as spawn's key + 1 does
+    _mix64(z, np.empty_like(z))
+    z = z ^ seeds
+    _mix64(z, np.empty_like(z))
+    return _Streams(z, np.zeros_like(z))
 
 
 def _stream_rows(rngs):
@@ -151,42 +154,40 @@ def _stream_rows(rngs):
 
 
 def uniform_rows(rngs, k: int) -> np.ndarray:
-    """The next k uniforms of each stream in rngs, as a (len(rngs), k) array.
-
-    Row r is what ``rngs[r].next_uniforms(k)`` would return, and every
-    stream advances by k.
-    """
+    """The next k uniforms of each stream in rngs, as a (len(rngs), k) array: row r
+    is what ``rngs[r].next_uniforms(k)`` would return, and every stream moves on k."""
     rngs = _stream_rows(rngs)
     k = _check_size(k)
     if isinstance(rngs, RngStream):
         return rngs.next_uniforms(k)[None]
-    start = rngs._advance(k)[:, None]
-    out = np.empty((len(rngs), k))
+    return _mix_rows(rngs._advance(k), k)
+
+
+def _ragged_rows(rngs, ks: np.ndarray) -> np.ndarray:
+    """An (R, max ks) block, row r the next ks[r] uniforms of rngs[r], which moves on
+    ks[r], then undrawn ones; ks is an int array, 0-d for every row or of R ints."""
+    most = int(ks.max(initial=0))
+    if not isinstance(rngs, _Streams) and len(rngs) == 1:  # one stream draws alone
+        return rngs[0].next_uniforms(most)[None]
+    rngs = _stream_rows(rngs)
+    return _mix_rows(rngs._advance(ks.astype(np.uint64)), most)
+
+
+def _mix_rows(start: np.ndarray, k: int) -> np.ndarray:
+    """(R, k) uniforms, row r the k values from the counter base start[r]."""
+    out = np.empty((len(start), k))
+    start = start[:, None]
     # whole rows per block while they fit, else one row in column chunks
     cols = min(k, _BLOCK) or 1
     rows = _BLOCK // cols
-    z = np.empty(min(rows, len(rngs)) * cols, dtype=np.uint64)
+    z = np.empty(min(rows, len(out)) * cols, dtype=np.uint64)
     for c in range(0, k, cols):
-        first = start + np.uint64(c * _GOLDEN & _MASK)
-        for r in range(0, len(rngs), rows):
+        first = start + np.uint64(c * _GOLDEN & _MASK) if c else start
+        for r in range(0, len(out), rows):
             block = out[r:r + rows, c:c + cols]
             zb = z[:block.size].reshape(block.shape)
             np.add(first[r:r + rows], _STEPS[:block.shape[1]], out=zb)
             _mix_into(zb, block)
-    return out
-
-
-def _uniform_runs(rngs, ks: np.ndarray) -> np.ndarray:
-    """The next ks[r] uniforms of each stream rngs[r], run r being what
-    ``rngs[r].next_uniforms(ks[r])`` would return, one run after another."""
-    if not isinstance(rngs, _Streams) and len(rngs) == 1:  # one RngStream draws alone
-        return rngs[0].next_uniforms(int(ks[0]))
-    rngs = _stream_rows(rngs)
-    z = (np.arange(ks.sum()) - np.repeat(np.cumsum(ks) - ks, ks)).view(np.uint64)  # run places
-    z *= _U_GOLDEN
-    z += np.repeat(rngs._advance(ks.astype(np.uint64)), ks)
-    out = np.empty(z.size)
-    _mix_into(z, out)
     return out
 
 
@@ -246,40 +247,48 @@ def _check_size(size) -> int:
 
 
 def normals(rng, size: int) -> np.ndarray:
-    """size standard-normal draws via Box-Muller (2*ceil(size/2) uniforms).
-
-    rng is one stream, or a sequence of R streams for an (R, size) array
-    whose row r is ``normals(rng[r], size)``.
-    """
+    """size standard-normal draws via Box-Muller (2*ceil(size/2) uniforms); rng is one
+    stream, or R streams for an (R, size) array whose row r is ``normals(rng[r], size)``."""
     size = _check_size(size)
     k = 2 * ((size + 1) // 2)  # one pair of uniforms per two draws
     u = rng.next_uniforms(k) if isinstance(rng, RngStream) else uniform_rows(rng, k)
-    u1, u2 = u[..., :k // 2], u[..., k // 2:]
-    r = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0,1], log is safe
-    theta = 2.0 * np.pi * u2
+    return _normal_variates(u, size)
+
+
+def _normal_variates(u: np.ndarray, size: int) -> np.ndarray:
+    """size normals of the uniform pairs (u1, u2) in the two halves of u's last axis:
+    r*cos(theta), then r*sin(theta), with r = sqrt(-2 log(1 - u1)), theta = 2 pi u2."""
+    h = u.shape[-1] // 2
+    r = np.sqrt(-2.0 * np.log1p(-u[..., :h]))  # 1-u1 in (0,1], log is safe
+    theta = 2.0 * np.pi * u[..., h:]
     return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :size]
 
 
 def gammas(rng, shape: float, scale: float, size: int) -> np.ndarray:
-    """size Gamma(shape, scale) draws (scale parametrization, mean shape*scale).
-
-    An integer shape sums ``shape`` exponentials, shape*size uniforms (at most
-    2**53); any other shape inverts the Gamma CDF, one uniform per draw. rng
-    is one stream, or a sequence of R streams for an (R, size) array whose
-    row r is ``gammas(rng[r], shape, scale, size)``.
+    """size Gamma(shape, scale) draws (mean shape*scale), of shape*size uniforms
+    (at most 2**53) at a whole shape, else size. rng is one stream, or R streams
+    for an (R, size) array whose row r is ``gammas(rng[r], shape, scale, size)``.
     """
     _finite("shape", shape, positive=True)
     _finite("scale", scale, positive=True)
     size = _check_size(size)
-    whole = float(shape).is_integer()
-    k = int(shape) * size if whole else size
-    if k > 2**53:
+    per = int(shape) if float(shape).is_integer() and size else 1  # no draws: no shape axis
+    if (k := per * size) > 2**53:
         raise ValidationError(f"shape {shape!r} and size {size} need more than 2**53 uniforms")
     u = rng.next_uniforms(k) if isinstance(rng, RngStream) else uniform_rows(rng, k)
-    if not whole:
+    return _gamma_variates(u.reshape(u.shape[:-1] + (per, size)), shape, scale, -2)
+
+
+def _gamma_variates(u: np.ndarray, shape: float, scale: float, axis: int) -> np.ndarray:
+    """Gammas of the uniforms u, a draw's along axis, overwriting u: a whole shape
+    sums -scale*log(1 - u) over them, any other inverts the CDF at the one."""
+    if not float(shape).is_integer():
         # imported on first use: scipy.special adds ~25 MiB and 0.3-0.6 s to any import of finset
         from scipy.special import gammaincinv
-        return scale * gammaincinv(float(shape), u)
-    u = u.reshape(u.shape[:-1] + (int(shape), size))
-    np.log1p(np.negative(u, out=u), out=u)  # in place: u is this call's own
-    return -scale * u.sum(axis=-2)
+        g = gammaincinv(float(shape), u.squeeze(axis))
+        g *= scale
+        return g
+    np.log1p(np.negative(u, out=u), out=u)
+    g = u.sum(axis=axis)  # pairwise along a contiguous axis of 8 or more, else in order
+    g *= -scale
+    return g

@@ -61,6 +61,63 @@ class TestModelEquations:
         assert likelihood(mean + 1.0, 2.0, 10) == pytest.approx(0.24197, abs=1e-5)
 
 
+def old_state_transition(x_prev, t, u, params=DEFAULTS):
+    """state_transition as it was before it worked in place."""
+    return 1.0 + np.sin(params.omega * np.pi * t) + params.phi1 * np.asarray(x_prev) + u
+
+
+def old_measurement(x, t, v, params=DEFAULTS):
+    """measurement as it was before it worked in place."""
+    if t <= params.switch_time:
+        return params.phi2 * np.asarray(x) ** 2 + v
+    return params.phi3 * np.asarray(x) - 2.0 + v
+
+
+def old_likelihood(y_obs, x, t, params=DEFAULTS):
+    """likelihood as it was before its log worked in place."""
+    std = params.obs_noise_std
+    d = (y_obs - old_measurement(x, t, 0.0, params)) / std
+    return np.exp(-0.5 * d * d - math.log(math.sqrt(2.0 * math.pi) * std))
+
+
+def assert_bit_equal(got, want):
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+eq = np.random.default_rng(26)
+EQUATION_INPUTS = {  # (x, u or v, y_obs)
+    "scalars": (2.0, 0.3, 0.8),
+    "ints": (2, 1, 3),
+    "list": ([0.0, 1.5, -2.0], 0.25, 1.0),
+    "arrays": (eq.normal(0, 3, 5), eq.gamma(3, 2, 5), eq.normal(0, 3, 5)),
+    "rows and a column": (eq.normal(0, 3, (3, 4)), eq.gamma(3, 2, (3, 4)),
+                          eq.normal(0, 3, (3, 1))),
+    "broadcast to rows": (eq.normal(0, 3, 4), eq.gamma(3, 2, (3, 4)), eq.normal(0, 3, (3, 4))),
+    "one row broadcast to rows": (eq.normal(0, 3, (1, 4)), eq.gamma(3, 2, (3, 4)),
+                                  eq.normal(0, 3, (3, 4))),
+    "float32": (eq.normal(0, 3, 5).astype(np.float32), np.float32(0.5), np.float32(0.1)),
+    "zeros, equal y and inf": (np.array([0.0, -0.0, 1.0, np.inf]), np.array([0.0, -0.0, 0.0, 1.0]),
+                               np.array([0.0, 0.0, 0.2, 1.0])),
+}
+
+
+@pytest.mark.parametrize("t", [DEFAULTS.switch_time, DEFAULTS.switch_time + 1],
+                         ids=["at the switch", "after it"])
+@pytest.mark.parametrize("case", EQUATION_INPUTS)
+def test_equations_equal_their_allocating_forms(case, t):
+    # the in-place forms give the same bits, types and shapes, and leave every input as it was
+    x, u, y = EQUATION_INPUTS[case]
+    before = [np.array(a, copy=True) for a in (x, u, y)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_bit_equal(state_transition(x, t, u), old_state_transition(x, t, u))
+        assert_bit_equal(measurement(x, t, u), old_measurement(x, t, u))
+        assert_bit_equal(likelihood(y, x, t), old_likelihood(y, x, t))
+    for a, b in zip((x, u, y), before):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
 class TestParamValidation:
     def test_bad_gamma(self):
         with pytest.raises(ValidationError):
@@ -222,6 +279,37 @@ class TestSimulateTruth:
         assert xs.shape == ys.shape == (25,)
         assert np.array_equal(xs, xs2) and np.array_equal(ys, ys2)
 
+    # 1000 steps at shape 9 and 3 rows take two blocks of 992 and 8 steps, the
+    # switch in the second
+    @pytest.mark.parametrize("steps, switch", [(1, 30), (70, 30), (1000, 995)])
+    @pytest.mark.parametrize("shape", [3.0, 9.0, 2.5])
+    @pytest.mark.parametrize("runs", [None, 3], ids=["one stream", "3 rows"])
+    def test_one_draw_equals_the_per_step_loop(self, runs, shape, steps, switch):
+        params = ModelParams(gamma_shape=shape, switch_time=switch)
+        a, b = [RngStream(7) if runs is None else [RngStream(7).spawn(i) for i in range(runs)]
+                for _ in range(2)]
+        got, want = simulate_truth(steps, a, params), old_simulate_truth(steps, b, params)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and np.array_equal(x, y)  # bit for bit
+        draws = lambda rng: [rng.draws] if runs is None else [g.draws for g in rng]  # noqa: E731
+        assert draws(a) == draws(b)
+
+    def test_memory_stays_near_the_outputs(self):
+        # its uniforms come in blocks of 2**15, not all at once: five values a
+        # step and run would be 2.5 times the two outputs on their own
+        steps = 10**5
+        streams = [RngStream(3).spawn(i) for i in range(2)]
+        tracemalloc.start()
+        try:
+            xs, ys = simulate_truth(steps, streams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = xs.nbytes + ys.nbytes
+        assert outputs == 2 * 2 * steps * 8
+        assert peak <= 1.5 * outputs, peak / outputs
+        assert [g.draws for g in streams] == [steps * 5] * 2
+
     @pytest.mark.parametrize("shape", [3.0, 2.5])
     def test_sequence_of_streams_gives_one_row_each(self, shape):
         params = ModelParams(gamma_shape=shape)
@@ -233,6 +321,31 @@ class TestSimulateTruth:
             x, y = simulate_truth(12, alone, params)
             assert np.array_equal(xs[i], x) and np.array_equal(ys[i], y)
             assert g.draws == alone.draws
+
+
+def old_simulate_truth(num_steps, rng, params):
+    """simulate_truth as it was before it drew once: a Gamma column, then a
+    normal column, each step, by the formulas of gammas and normals then."""
+    from scipy.special import gammaincinv
+    rows = [rng] if isinstance(rng, RngStream) else rng
+    shape, whole = params.gamma_shape, float(params.gamma_shape).is_integer()
+    xs, ys = np.empty((len(rows), num_steps)), np.empty((len(rows), num_steps))
+    x = np.zeros(len(rows))
+    for t in range(1, num_steps + 1):
+        u = rng_module.uniform_rows(rows, int(shape) if whole else 1)
+        if whole:
+            u = u.reshape(len(rows), int(shape), 1)
+            np.log1p(np.negative(u, out=u), out=u)
+            noise = (-params.gamma_scale * u.sum(axis=-2))[..., 0]
+        else:
+            noise = (params.gamma_scale * gammaincinv(float(shape), u))[..., 0]
+        x = old_state_transition(x, t, noise, params)
+        u = rng_module.uniform_rows(rows, 2)
+        r, theta = np.sqrt(-2.0 * np.log1p(-u[..., :1])), 2.0 * np.pi * u[..., 1:]
+        v = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :1][..., 0]
+        xs[:, t - 1] = x
+        ys[:, t - 1] = old_measurement(x, t, v * params.obs_noise_std, params)
+    return (xs[0], ys[0]) if isinstance(rng, RngStream) else (xs, ys)
 
 
 def columns(result):
@@ -514,9 +627,75 @@ class TestBatchedRuns:
         assert record_digest(run_benchmark(cfg)) == want
         assert entry.calls == 3 * 2
 
+    @pytest.mark.parametrize("shape, k", [(3.0, 3), (2.5, 1)])
+    def test_each_family_draws_its_documented_uniforms(self, monkeypatch, shape, k):
+        # truth k + 2 a step; filter its initial normals and k*M a step; multinomial
+        # n a step, residual what the floors leave, systematic, rsr and the baseline
+        # one, and msv none
+        families, surplus = {}, []
+        spawn, split = rng_module._Streams.spawn, partition._Rows.split
+
+        def spy_spawn(rows, key):
+            families[key] = spawn(rows, key)
+            return families[key]
+
+        def spy_split(rows):
+            out = split(rows)
+            if all(r is not rows for r, _ in surplus):  # msv reads the same split again
+                surplus.append((rows, out[1]))
+            return out
+
+        monkeypatch.setattr(rng_module._Streams, "spawn", spy_spawn)
+        monkeypatch.setattr(partition._Rows, "split", spy_split)
+        runs, m, steps = 3, 7, 4
+        run_benchmark(BenchmarkConfig(num_particles=m, num_steps=steps, num_mc_runs=runs,
+                                      seed=2), ModelParams(gamma_shape=shape))
+        assert len(surplus) == steps
+        residual = np.sum([s for _, s in surplus], axis=0)
+        want = {"truth": steps * (k + 2), "filter": 2 * ((m + 1) // 2) + steps * k * m,
+                "baseline": steps, "multinomial": steps * m, "residual": residual,
+                "systematic": steps, "rsr": steps, "msv": 0}
+        keys = {"truth": 0, "filter": 1, "baseline": 2,
+                **{method: 3 + i for i, method in enumerate(METHODS)}}
+        assert set(families) == set(keys.values())
+        for family, key in keys.items():
+            got = families[key].counts
+            assert np.array_equal(got, np.broadcast_to(want[family], runs)), family
+
+    def test_run_streams_are_the_roots_spawned_rows(self, monkeypatch):
+        # built by array operations, bit for bit RngStream(seed).spawn(run)
+        for seed in (0, 2**64 - 1):
+            roots = []
+            spawn = rng_module._Streams.spawn
+            monkeypatch.setattr(rng_module._Streams, "spawn",
+                                lambda rows, key: roots.append(rows) or spawn(rows, key))
+            run_benchmark(BenchmarkConfig(num_particles=3, num_steps=1, num_mc_runs=4, seed=seed))
+            monkeypatch.undo()
+            assert all(r is roots[0] for r in roots)
+            assert roots[0].seeds.tolist() == [RngStream(seed).spawn(r).seed for r in range(4)]
+
+    def test_runs_past_memory_are_refused(self, monkeypatch, capsys):
+        # a stub refuses every array past 2**30 entries, so the root streams of
+        # 10**12 runs are never allocated; they were built by a Python loop that
+        # would have run for months before any array was asked for
+        real = np.arange
+
+        def arange(*args, **kwargs):
+            if len(range(*args)) > 2**30:
+                raise MemoryError("stubbed: no memory for this array")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", arange)
+        with pytest.raises(ValidationError, match=r"^runs x particles = 1000000000000 x 100 "
+                           r"with 60 steps need at least 745058\.1 GiB of memory"):
+            run_benchmark(BenchmarkConfig(num_mc_runs=10**12))
+        assert main(["benchmark", "--runs", str(10**12)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: runs x particles = 1000000000000 x 100")
+
     def test_stream_bookkeeping_does_not_grow_with_steps(self, monkeypatch):
-        # the run streams are checked and built once; every later draw, spawn
-        # and slice is array work on stream rows, however many steps there are
+        # only the root stream is built, and no stream is checked: the run streams
+        # are spawned as rows, and every later draw, spawn and slice is array work
+        # on stream rows, however many steps there are
         def bookkeeping(steps):
             checks, builds = [], []
             check, init = rng_module._stream_rows, RngStream.__init__
@@ -535,7 +714,7 @@ class TestBatchedRuns:
             monkeypatch.undo()
             return len(checks), len(builds)
 
-        assert bookkeeping(3) == bookkeeping(30) == (1, 1 + 4)  # the root and the runs
+        assert bookkeeping(3) == bookkeeping(30) == (0, 1)  # the root alone
 
     @pytest.mark.parametrize("change, got", [
         (lambda c: c - (np.arange(c.size) == c.argmax()), "5 counts summing to 4"),

@@ -32,6 +32,7 @@ from finset.resampling import (
     systematic_resample,
     _ROW_KERNELS,
     _draw_counts,
+    _multinomial_rows,
     _rsr_counts,
     _systematic_counts,
 )
@@ -778,12 +779,13 @@ def fuzz_cdfs(g, m):
 @pytest.mark.parametrize("m, k", [
     (3, 5), (100, 100), (4095, 4096), (5000, 100), (4096, 4096), (5000, 20_000),
     (20_000, 80_000), (20_000, 160_000), (65_536, 4096), (300_000, 4096), (300_000, 1000),
-    # k = M/4 searches the CDF for each sorted draw, k = M/4 + 1 reads keys
-    (4096, 1024), (4096, 1025), (300_000, 75_000), (300_000, 75_001),
+    # k = M/4 searches the CDF for each sorted draw, k = M/4 + 1 reads keys;
+    # so does k = 1024 against 1025 where M/4 is less
+    (4096, 1024), (4096, 1025), (300_000, 75_000), (300_000, 75_001), (3000, 1024), (3000, 1025),
 ])
 def test_readouts_agree_across_the_rule(m, k):
-    # Both readouts of one row, the search at k <= M/4 and the keyed sort
-    # above it, against a search of the sorted draws, from a few CDF values
+    # Both readouts of one row, the search at k <= M/4 or k <= 1024 and the
+    # keyed sort above, against a search of the sorted draws, from a few CDF values
     # and draws to 300 000 and 160 000, balanced and lopsided.
     g = np.random.default_rng(m + k)
     for kind, cdf in fuzz_cdfs(g, m):
@@ -796,6 +798,27 @@ def test_readouts_agree_across_the_rule(m, k):
             keyed = _draw_counts([cdf.copy()[None]], np.array([k]), [FixedStream(u)])
             assert np.array_equal(keyed[0], np.diff(search_cum(cdf, u), prepend=0)), kind
             assert keyed.dtype == np.int64
+
+
+@pytest.mark.parametrize("k", [1024, 1025], ids=["search", "keyed"])
+@pytest.mark.parametrize("m", [10, 100, 3000])
+def test_one_row_readouts_agree_at_the_small_k_bound(monkeypatch, m, k):
+    # one row searches the CDF for k <= 1024 draws, where M/4 is less, and reads
+    # keys above; both readouts give the counts and draws of the other, which
+    # two rows (always read by keys) and the search oracle give
+    searches = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **kw: searches.append(1) or bincount(*a, **kw))
+    g = np.random.default_rng(m + k)
+    raw = g.lognormal(0.0, 1.0, m)
+    w = WeightVector(raw / raw.sum())
+    one, rng = multinomial_resample(w, k, RngStream(3)).sizes, RngStream(3)
+    assert len(searches) == (k <= 1024)
+    two = _multinomial_rows(_Rows(np.stack([w.weights] * 2), k), (rng, RngStream(4)))
+    assert len(searches) == (k <= 1024)  # two rows read keys
+    assert np.array_equal(one, two[0]) and rng.draws == k
+    u = RngStream(3).next_uniforms(k)
+    assert np.array_equal(one, np.diff(search_cum(cdf_of(w.weights), u), prepend=0))
 
 
 @pytest.mark.parametrize("below", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK])

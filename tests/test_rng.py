@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from finset.partition import ValidationError
-from finset.rng import (RngStream, _stream_rows, _Streams, _uniform_runs, gammas, normals,
-                        uniform_rows)
+from finset.rng import (RngStream, _ragged_rows, _spawn_rows, _stream_rows, _Streams, gammas,
+                        normals, uniform_rows)
 
 # Frozen from the pinned SplitMix64 stream; any generator change must be
 # deliberate since it invalidates every golden vector in the suite.
@@ -169,18 +169,18 @@ def test_uniform_rows_are_the_streams_own_draws():
 
 @pytest.mark.parametrize("ks", [[3, 0, 5, 1], [0, 0], [2**15 + 3, 1, 0], [7], []],
                          ids=["ragged", "none", "past one block", "one stream", "no streams"])
-def test_uniform_runs_are_each_streams_own_draws(ks):
+def test_ragged_rows_are_each_streams_own_draws(ks):
     streams = [RngStream(6).spawn(i) for i in range(len(ks))]
     if streams:
-        streams[0].next_uniforms(4)  # runs may start at different positions
+        streams[0].next_uniforms(4)  # rows may start at different positions
     alone = [RngStream(g.seed) for g in streams]
     for a, g in zip(alone, streams):
         a.next_uniforms(g.draws)
-    # no streams raised IndexError, where uniform_rows([], k) has shape (0, k)
-    runs = _uniform_runs(streams, np.array(ks, dtype=np.int64))
-    want = [np.empty(0)] + [a.next_uniforms(k) for a, k in zip(alone, ks)]
-    assert runs.dtype == np.float64 and np.array_equal(runs, np.concatenate(want))
-    assert [g.draws for g in streams] == [a.draws for a in alone]
+    block = _ragged_rows(streams, np.array(ks, dtype=np.int64))
+    assert block.dtype == np.float64 and block.shape == (len(ks), max(ks, default=0))
+    for row, a, k in zip(block, alone, ks):
+        assert np.array_equal(row[:k], a.next_uniforms(k))  # row r's draws, bit for bit
+    assert [g.draws for g in streams] == [a.draws for a in alone]  # each moved on its own k
 
 
 def test_stream_rows_draw_spawn_and_slice_as_their_streams():
@@ -195,9 +195,9 @@ def test_stream_rows_draw_spawn_and_slice_as_their_streams():
     first = uniform_rows(children[:3], 4)
     assert children.counts.tolist() == [4, 4, 4, 0, 0]
     assert np.array_equal(first, [a.next_uniforms(4) for a in alone[:3]])
-    runs = _uniform_runs(children, np.array([2, 0, 1, 3, 0]))
-    want = [a.next_uniforms(k) for a, k in zip(alone, [2, 0, 1, 3, 0])]
-    assert np.array_equal(runs, np.concatenate(want))
+    block = _ragged_rows(children, np.array([2, 0, 1, 3, 0]))
+    for row, a, k in zip(block, alone, [2, 0, 1, 3, 0]):
+        assert np.array_equal(row[:k], a.next_uniforms(k))
     # a fractional Gamma draws from the rows as each stream alone would
     got = gammas(children, 2.5, 1.0, 3)
     assert np.array_equal(got, [gammas(a, 2.5, 1.0, 3) for a in alone])
@@ -376,3 +376,79 @@ def test_gamma_rejects_bad_params():
         gammas(RngStream(0), 0, 1, 1)
     with pytest.raises(ValueError):
         gammas(RngStream(0), 1, -1, 1)
+
+
+def old_gammas(rng, shape, scale, size):
+    """gammas as it was before it scaled its sums in place."""
+    from scipy.special import gammaincinv
+    whole = float(shape).is_integer()
+    k = int(shape) * size if whole else size
+    u = rng.next_uniforms(k) if isinstance(rng, RngStream) else uniform_rows(rng, k)
+    if not whole:
+        return scale * gammaincinv(float(shape), u)
+    u = u.reshape(u.shape[:-1] + (int(shape), size))
+    np.log1p(np.negative(u, out=u), out=u)
+    return -scale * u.sum(axis=-2)
+
+
+def old_normals(rng, size):
+    """normals as it was before its Box-Muller transform was split off."""
+    k = 2 * ((size + 1) // 2)
+    u = rng.next_uniforms(k) if isinstance(rng, RngStream) else uniform_rows(rng, k)
+    u1, u2 = u[..., :k // 2], u[..., k // 2:]
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :size]
+
+
+def stream_pairs(rows):
+    """Two equal sets of streams at a nonzero position: one stream, or `rows` of them."""
+    def make():
+        if rows is None:
+            g = RngStream(41)
+            g.next_uniforms(5)
+            return g
+        return [RngStream(41).spawn(i) for i in range(rows)]
+    return make(), make()
+
+
+def draws_of(rng):
+    return rng.draws if isinstance(rng, RngStream) else [g.draws for g in rng]
+
+
+# at size 1 a whole shape of 8 or more sums pairwise, at size 2 or more in order
+@pytest.mark.parametrize("rows", [None, 1, 100], ids=["one stream", "one row", "100 rows"])
+@pytest.mark.parametrize("size", [1, 2, 100])
+@pytest.mark.parametrize("shape", [1, 2, 3, 8, 9, 16, 2.5])
+def test_gammas_equal_their_formula_in_place(shape, size, rows):
+    a, b = stream_pairs(rows)
+    got, want = gammas(a, shape, 2.0, size), old_gammas(b, shape, 2.0, size)
+    assert got.shape == want.shape and np.array_equal(got, want)  # bit for bit
+    assert draws_of(a) == draws_of(b)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3], ids=["one stream", "one row", "3 rows"])
+@pytest.mark.parametrize("size", [0, 1, 2, 7])
+def test_normals_equal_their_formula_before_the_split(size, rows):
+    a, b = stream_pairs(rows)
+    got, want = normals(a, size), old_normals(b, size)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert draws_of(a) == draws_of(b)
+
+
+def test_gammas_of_size_zero_at_any_whole_shape():
+    # the shape axis of 1e300 uniforms raised NumPy's "Maximum allowed dimension
+    # exceeded", though no draw needs a uniform
+    for rng in (RngStream(0), [RngStream(0), RngStream(1)]):
+        got = gammas(rng, 1e300, 1.0, 0)
+        assert got.shape == np.shape(normals(rng, 0)) and draws_of(rng) in (0, [0, 0])
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+def test_spawned_rows_are_the_spawned_streams(seed):
+    rows = _spawn_rows(np.uint64(RngStream(seed).seed), np.arange(7, dtype=np.uint64))
+    assert rows.seeds.dtype == np.uint64 and rows.counts.tolist() == [0] * 7
+    assert rows.seeds.tolist() == [RngStream(seed).spawn(r).seed for r in range(7)]
+    # the last key, as spawn on rows takes it
+    last = _Streams(np.uint64([seed]), np.zeros(1, np.uint64)).spawn(2**64 - 2)
+    assert last.seeds.tolist() == [RngStream(seed).spawn(2**64 - 2).seed]
