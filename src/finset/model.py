@@ -4,7 +4,7 @@ State transition:   x_t = 1 + sin(omega*pi*t) + phi1*x_{t-1} + u_t,
 with Gamma(shape, scale) process noise. The observation is quadratic
 (phi2*x^2 + v) up to the switch timestep and linear (phi3*x - 2 + v) after,
 with Gaussian observation noise. The truth's step t takes k + 2 uniforms of
-its stream: the k of its Gamma noise (k the shape if whole, else 1), then the
+its stream: the k of its Gamma noise (``rng._gamma_uniforms``), then the
 Box-Muller pair of its observation noise.
 
 The benchmark runs one shared SIR filter per Monte Carlo run and, at every
@@ -29,9 +29,9 @@ from .partition import ValidationError, _check_n, _Rows
 # counts_to_indices and sampling_variance are not called here; finbench's tracer wraps them
 from .resampling import (_ROW_KERNELS, RESAMPLERS, ParticleSet, _sv, counts_to_indices,
                          sampling_variance)
-from .rng import (_BLOCK, RngStream, _check_type, _finite, _gamma_variates, _integer,
-                  _normal_variates, _spawn_rows, _stream_rows, _Streams, gammas, normals,
-                  uniform_rows)
+from .rng import (_BLOCK, RngStream, _check_type, _finite, _gamma_uniforms, _gamma_variates,
+                  _integer, _normal_variates, _spawn_rows, _stream_rows, _Streams, gammas,
+                  normals, uniform_rows)
 
 METHODS = tuple(RESAMPLERS)
 
@@ -134,10 +134,13 @@ def state_transition(x_prev, t, u, params: ModelParams = ModelParams()):
 
 def measurement(x, t, v, params: ModelParams = ModelParams()):
     """Observation function: quadratic regime through the switch step, linear after."""
+    return _into(np.add, y := _observe(x, t, params), v, y)
+
+
+def _observe(x, t, params):  # the measurement without its noise
     quadratic = t <= params.switch_time
     y = np.asarray(x) ** 2 if quadratic else params.phi3 * np.asarray(x)
-    y = _into(np.multiply, y, params.phi2, y) if quadratic else _into(np.subtract, y, 2.0, y)
-    return _into(np.add, y, v, y)
+    return _into(np.multiply, y, params.phi2, y) if quadratic else _into(np.subtract, y, 2.0, y)
 
 
 def likelihood(y_obs, x, t, params: ModelParams = ModelParams()):
@@ -147,7 +150,7 @@ def likelihood(y_obs, x, t, params: ModelParams = ModelParams()):
 
 def _log_likelihood(y_obs, x, t, params):
     std = params.obs_noise_std
-    d = measurement(x, t, 0.0, params)
+    d = _observe(x, t, params)
     d = _into(np.divide, _into(np.subtract, y_obs, d, d), std, d)
     ll = -0.5 * d  # then times d: two arrays
     return _into(np.subtract, _into(np.multiply, ll, d, ll),
@@ -159,18 +162,23 @@ def _collapse(t, run=None) -> ParticleCollapseError:
     return ParticleCollapseError(f"{where}all particle weights vanished at step {t}")
 
 
+def _scheme(method, streams):
+    """(method, its registry entry, the entry's row kernel or None if replaced, streams)."""
+    fn = RESAMPLERS[method]  # the kernel is found by identity: an entry need not be hashable
+    return method, fn, next((k for f, k in _ROW_KERNELS.items() if f is fn), None), streams
+
+
 def _step(states, prior, y_obs, t, rngs, params, n, schemes, advance, measured):
     """One SIR step of the R runs in the rows of (R, M) states and prior weights.
 
-    The prior may be an (R, 1) column of equal weights. Row r draws from rngs[r]
-    and is weighed against y_obs[r]. The rows before the first collapsed one are
-    resampled at n units by each (method, streams) of schemes; with advance, the
+    The prior may be an (R, 1) column of equal weights. Row r draws from rngs[r] and is
+    weighed against y_obs[r]. The rows before the first collapsed one are resampled at n
+    units by each ``_scheme``, whose streams are cut to them in place; with advance, the
     last scheme's counts copy the states, whose prior is then a column of 1/n.
     Returns the states, their weights, the estimates and the first ``measured`` svs.
     """
-    noise = gammas(rngs, params.gamma_shape, params.gamma_scale, states.shape[1])
-    states = state_transition(states, t, noise, params)
-    del noise
+    states = state_transition(  # the noise is freed on return
+        states, t, gammas(rngs, params.gamma_shape, params.gamma_scale, states.shape[1]), params)
     with np.errstate(divide="ignore", over="ignore"):  # log(0) and d*d -> -inf
         w = _log_likelihood(y_obs[:, None], states, t, params)  # the log weights, at first
         w += np.log(prior)
@@ -189,15 +197,14 @@ def _step(states, prior, y_obs, t, rngs, params, n, schemes, advance, measured):
     states.flags.writeable = stored.flags.writeable = False
     if not live:
         return states, w, estimates, []
-    rows, svs, m = _Rows(stored, n), [], states.shape[1]
-    d = np.empty_like(stored) if measured else None  # each sv's n*w, then its discrepancies
-    for method, streams in schemes:
+    if live < len(top):
+        schemes[:] = [(method, fn, kernel, g[:live]) for method, fn, kernel, g in schemes]
+    # n*w formed once, for the floors and every sv; each sv's discrepancies go
+    # through its counts' own buffer, as float64 (the same bits), where it can
+    rows, svs, m = _Rows(stored, n, nw := np.multiply(stored, n)), [], states.shape[1]
+    for i, (method, fn, kernel, streams) in enumerate(schemes):
         counts = None  # the last scheme's are freed before this one draws
-        fn, streams = RESAMPLERS[method], streams[:live]
-        # one row-kernel call; an entry replaced by another function is called
-        # per row, as for one run (found by identity: it need not be hashable)
-        kernel = next((k for f, k in _ROW_KERNELS.items() if f is fn), None)
-        if kernel is None:
+        if kernel is None:  # a replaced entry is called per row, as for one run
             psets = map(ParticleSet._trusted, states, rows.populations())
             draw = lambda gs: [fn(p, n, g).sizes for p, g in zip(psets, gs)]
             counts = streams.each(draw) if isinstance(streams, _Streams) else draw(streams)
@@ -208,9 +215,10 @@ def _step(states, prior, y_obs, t, rngs, params, n, schemes, advance, measured):
             counts = np.array(counts)
         else:
             counts = kernel(rows, streams)
-        if len(svs) < measured:
-            svs.append(_sv(counts, np.multiply(stored, n, out=d), d))
-    del rows, stored, d  # their arrays are freed before the gather
+        if i < measured:  # not the counts that copy the states, nor ones of another kind
+            own = i < len(schemes) - advance and counts.dtype == np.int64 and counts.flags.carray
+            svs.append(_sv(counts, nw, counts.view(np.float64) if own else None))
+    del rows, stored, nw  # their arrays are freed before the gather
     if advance:
         states = np.repeat(states.ravel(), counts.ravel()).reshape(live, n)
         w = np.full((live, 1), 1.0 / n)
@@ -235,7 +243,7 @@ def sir_step(p: ParticleSet, y_obs, t, method, rng: RngStream,
     try:
         states, weights, estimates, svs = _step(
             p.states[None], p.weights.weights[None], np.array([y_obs], dtype=float), t,
-            [rng], params, n_out, [(method, [rng])], True, 1)
+            [rng], params, n_out, [_scheme(method, [rng])], True, 1)
     except MemoryError:  # the gather: an index and a state a particle, 8 bytes each
         raise ValidationError(f"num_out = {n_out} particles need {16 * n_out / 2**30:.1f} GiB "
                               f"of memory, more than can be allocated") from None
@@ -255,8 +263,7 @@ def simulate_truth(num_steps, rng, params: ModelParams = ModelParams()):
     num_steps = _integer("num_steps", num_steps, 1, limited=True)
     rows = _stream_rows([rng] if isinstance(rng, RngStream) else rng)  # one: a lone stream
     rows = [rows] if isinstance(rows, RngStream) else rows  # which uniform_rows draws alone
-    # a step's Gamma uniforms: past 2**53 its draw is refused
-    k = int(params.gamma_shape) if float(params.gamma_shape).is_integer() else 1
+    k = _gamma_uniforms(params.gamma_shape)
     xs = np.empty((len(rows), num_steps))
     ys, x = np.empty(xs.shape), np.zeros(len(xs))
     block = max(1, _BLOCK // (len(xs) * (k + 2)))
@@ -290,9 +297,9 @@ def run_benchmark(config: BenchmarkConfig,
         family = rows.spawn if runs > 1 else lambda key: [rows.spawn(key)]
         filter_rngs = family(1)
         # each scheme in turn, and then the baseline, which advances the population
-        schemes = [(m, family(3 + i)) for i, m in enumerate(config.methods)]
+        schemes = [_scheme(m, family(3 + i)) for i, m in enumerate(config.methods)]
         if config.resample_each_step:
-            schemes.append((config.baseline_method, family(2)))
+            schemes.append(_scheme(config.baseline_method, family(2)))
         xs, ys = simulate_truth(steps, family(0), params)
         states = normals(filter_rngs, npart)  # initial particles ~ N(0, 1)
         weights = np.full((runs, 1), 1.0 / npart)  # the prior as a column: equal weights

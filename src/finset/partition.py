@@ -118,8 +118,8 @@ class _Rows:
     M = 1e6 one costs a systematic call); parts read by several callers are read-only.
     """
 
-    def __init__(self, weights: np.ndarray, n: int):
-        self.weights, self.n, self.floors = weights, n, None
+    def __init__(self, weights: np.ndarray, n: int, nw: np.ndarray | None = None):
+        self.weights, self.n, self.nw, self.floors = weights, n, nw, None
 
     @cached_property
     def cdf(self) -> np.ndarray:
@@ -129,23 +129,23 @@ class _Rows:
         return _frozen(running)
 
     def floored(self) -> np.ndarray:
-        """floor(n*w), as floats in a new array."""
-        f = self.n * self.weights
-        return np.floor(f, out=f)
+        """floor(n*w), as floats in a new array: of ``nw``, n*w formed once, if given."""
+        nw = self.nw
+        return np.floor(nw) if nw is not None else np.floor(f := self.n * self.weights, out=f)
 
-    def split(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
-        """floor(n*w) as read-only int64 and the units each row's floors leave (refused
-        outside [0, M]: n*w lost units), kept as ``floors`` for a step's next reader,
-        and the ``floored()`` they come from, which each reader floors for itself."""
+    def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """floor(n*w) and the units each row's floors leave (refused outside [0, M]: n*w
+        lost units), both read-only int64 and kept as ``floors`` for a step's next
+        reader, and the ``floored()`` they come from, which each reader floors for itself."""
         f = self.floored()
         if self.floors is None:
             floors, m = _frozen(f.astype(np.int64)), f.shape[1]
-            surplus = tuple([self.n - s for s in np.add.reduce(floors, axis=1).tolist()])
-            for s in surplus:
-                if not 0 <= s <= m:
-                    raise ValidationError(f"n = {self.n} is past float precision for these "
-                                          f"weights: the floors leave {s} units for {m} bins")
-            self.floors = floors, surplus
+            surplus = np.subtract.reduce(floors, axis=1, initial=self.n)  # n - sum(floors)
+            if not 0 <= min(left := surplus.tolist()) <= max(left) <= m:
+                s = next(s for s in left if not 0 <= s <= m)  # named: the first such row
+                raise ValidationError(f"n = {self.n} is past float precision for these "
+                                      f"weights: the floors leave {s} units for {m} bins")
+            self.floors = floors, _frozen(surplus)
         return (*self.floors, f)
 
     def residuals(self, floored: np.ndarray) -> np.ndarray:
@@ -153,17 +153,18 @@ class _Rows:
         floored /= self.n
         return np.subtract(self.weights, floored, out=floored)
 
-    def residual_cdf(self, res: np.ndarray, surplus: tuple[int, ...]) -> np.ndarray:
-        """Residuals as CDFs, summed over them in place. One an ulp below 0 (n*w rounded
-        up onto an integer) is no mass; a row with none (no surplus, or lost) stays 0:
-        only then is the divide masked, as the mask costs ~2/3 of the divide again."""
+    def residual_cdf(self, res: np.ndarray, surplus: np.ndarray) -> np.ndarray:
+        """Residuals as CDFs, summed over them in place; surplus is ``split()``'s. One an ulp
+        below 0 (n*w rounded up onto an integer) is no mass; a row with none (no surplus, or
+        lost) stays 0: only then is the divide masked, as the mask costs ~2/3 of the divide."""
         cum = np.cumsum(np.maximum(res, 0.0, out=res), axis=1, out=res)
         last = cum[:, -1:].copy()  # a view would overlap the output: NumPy would copy cum
-        for s, mass in zip(surplus, last[:, 0].tolist()):
-            if s and not mass:
-                raise ValidationError(f"n = {self.n} is past float precision for these "
-                                      f"weights: the floors leave {s} units, and every "
-                                      f"residual rounds to 0")
+        if 0.0 in (masses := last[:, 0].tolist()):
+            for s, mass in zip(surplus.tolist(), masses):  # the first row that lost its units
+                if s and not mass:
+                    raise ValidationError(f"n = {self.n} is past float precision for these "
+                                          f"weights: the floors leave {s} units, and every "
+                                          f"residual rounds to 0")
         return np.divide(cum, last, out=cum, where=True if last.all() else last > 0)
 
     def populations(self) -> list[WeightVector]:
@@ -271,17 +272,17 @@ def _lmse_rows(rows: _Rows, rngs=None) -> np.ndarray:
     del rows  # see lmse_partition: the weights are freed before the selection's copy
     m = res.shape[1]
     if len(res) == 1:
-        k = m - max(surplus[0], 1)
+        k = m - max(s := surplus.item(), 1)
         cut = [np.partition(res[0], k)[k]]  # a copy: the partitioned one is freed
         take = res >= cut[0]
-        taken = [np.count_nonzero(take)]  # one row counts fastest alone
+        over = [(0, t - s)] if (t := np.count_nonzero(take)) > s else []  # counted fastest alone
     else:
-        cut = np.sort(res, axis=1)[np.arange(len(res)), [m - max(s, 1) for s in surplus]]
+        cut = np.sort(res, axis=1)[np.arange(len(res)), m - np.maximum(surplus, 1)]
         take = res >= cut[:, None]
-        taken = np.add.reduce(take, axis=1).tolist()
-    for r, (t, s) in enumerate(zip(taken, surplus)):
-        if t > s:
-            take[r, (res[r] == cut[r]).nonzero()[0][s - t:]] = False
+        extra = np.add.reduce(take, axis=1) - surplus
+        over = [(r, extra[r]) for r in np.flatnonzero(extra > 0).tolist()]
+    for r, e in over:  # the rows whose cut ties: the last e tied bins give their unit back
+        take[r, (res[r] == cut[r]).nonzero()[0][-e:]] = False
     del res  # freed before the counts are built
     return floors + take
 

@@ -86,23 +86,23 @@ def _one_row(kernel, p, n, rng) -> Allocation:
 def _draw_counts(held: list, ks, rngs) -> np.ndarray:
     """(R, M) counts of ks[r] inverse-CDF draws from rngs[r] on CDF row r.
 
-    ks is one int for every row, or R ints. A draw lands in the first bin whose
-    CDF value exceeds it. One row of k <= max(M/4, 1024) draws sorts them alone
-    and searches the CDF, which ends at 1 > u (faster there). Else a uniform is
-    j*2**-53, so u < c iff j < ceil(c*2**53). Row r of the (R, M + max ks) keys
-    holds the even keys 2*ceil(c*2**53) <= 2**54 of its CDF, the odd keys
-    2*j + 1 < 2**54 of its draws and pads 2**54 + 1 in place of a shorter row's
-    undrawn values, each with bit 60 set, and is sorted on its own as normal
-    positive doubles, which order as their bits do. Read in order, the odd keys
-    before an even key are its bin's draws; a row's pads, read as the next row's
-    bin 0 draws, are taken off after. The CDF, held's one item, is freed once
-    its keys are written; the keys are read 2**15 at a time: beside them, the
-    CDF, the draws or the counts, never two of them, are alive.
+    ks is one int for every row, or an int64 array of R ints, such as a split's
+    surplus. A draw lands in the first bin whose CDF value exceeds it. One row of
+    k <= max(M/4, 1024) draws sorts them alone and searches the CDF, which ends at
+    1 > u (faster there). Else a uniform is j*2**-53, so u < c iff j < ceil(c*2**53).
+    Row r of the (R, M + max ks) keys holds the even keys 2*ceil(c*2**53) <= 2**54
+    of its CDF, the odd keys 2*j + 1 < 2**54 of its draws and pads 2**54 + 1 in
+    place of a shorter row's undrawn values, each with bit 60 set, and is sorted on
+    its own as normal positive doubles, which order as their bits do. Read in
+    order, the odd keys before an even key are its bin's draws; a row's pads, read
+    as the next row's bin 0 draws, are taken off after. The CDF, held's one item,
+    is freed once its keys are written; the keys are read 2**15 at a time: beside
+    them, the CDF, the draws or the counts, never two of them, are alive.
     """
     cdf = held.pop()
-    (r, m), k, most = cdf.shape, np.asarray(ks), int(np.max(ks))
+    (r, m), most = cdf.shape, int((k := np.asarray(ks)).max())
     if r == 1 and (4 * most <= m or most <= 1024):  # drawn as the keyed draws below are
-        u = _ragged_rows(rngs, k).reshape(-1)
+        u = _ragged_rows(rngs, k, most).reshape(-1)
         u.sort()
         bins = cdf[0].searchsorted(u, side="right")
         del cdf, u  # before the counts
@@ -114,7 +114,7 @@ def _draw_counts(held: list, ks, rngs) -> np.ndarray:
         del x  # before the next block's
     del cdf  # its last keys are written: freed before the draws
     draws = keys[:, m:]
-    np.multiply(_ragged_rows(rngs, k), 2.0**54, out=draws, casting="unsafe")  # block freed at once
+    np.multiply(_ragged_rows(rngs, k, most), 2.0**54, out=draws, casting="unsafe")  # freed at once
     if k.ndim and k.min(initial=most) < most:  # a shorter row's undrawn values: pads
         draws[np.arange(most) >= k[:, None]] = 2**54 + 1
     draws |= np.uint64(1)
@@ -204,7 +204,7 @@ rsr_resample = systematic_resample
 
 def _residual_rows(rows: _Rows, rngs) -> np.ndarray:
     floors, surplus, floored = rows.split()
-    if not any(surplus):  # nothing to draw: no residuals, and no residual CDF, to build
+    if not any(surplus.tolist()):  # nothing to draw, so no residuals to build (a list: fastest)
         return floors.copy()
     held = [rows.residual_cdf(rows.residuals(floored), surplus)]
     del floored, rows  # no other scheme reads it: freed once its keys are written

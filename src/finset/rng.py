@@ -6,9 +6,9 @@ for bit and golden vectors are portable. R streams are two uint64 arrays of
 seeds and counts (``_Streams``), drawn from, spawned and moved on by array
 operations; one stream draws alone. A draw takes at most 2**53 values, mixed
 2**15 at a time. Each sampler is a draw and a uniforms-to-variates transform:
-Box-Muller for normals; for Gammas, a sum of exponentials at a whole shape,
-else the inverse CDF. ``model.simulate_truth`` draws k + 2 uniforms a step:
-the k of a Gamma (k the shape if whole, else 1), then a Box-Muller pair.
+Box-Muller for normals; for Gammas, a sum of exponentials at a whole shape up to
+16, else the inverse CDF at one uniform, however large the shape. Each step of
+``model.simulate_truth`` draws a Gamma's uniforms, then a Box-Muller pair.
 """
 
 from __future__ import annotations
@@ -163,10 +163,9 @@ def uniform_rows(rngs, k: int) -> np.ndarray:
     return _mix_rows(rngs._advance(k), k)
 
 
-def _ragged_rows(rngs, ks: np.ndarray) -> np.ndarray:
-    """An (R, max ks) block, row r the next ks[r] uniforms of rngs[r], which moves on
-    ks[r], then undrawn ones; ks is an int array, 0-d for every row or of R ints."""
-    most = int(ks.max(initial=0))
+def _ragged_rows(rngs, ks: np.ndarray, most: int) -> np.ndarray:
+    """An (R, most) block, row r the next ks[r] uniforms of rngs[r], which moves on ks[r],
+    then undrawn ones; ks is an int array, 0-d for every row or of R ints, most its max."""
     if not isinstance(rngs, _Streams) and len(rngs) == 1:  # one stream draws alone
         return rngs[0].next_uniforms(most)[None]
     rngs = _stream_rows(rngs)
@@ -266,29 +265,32 @@ def _normal_variates(u: np.ndarray, size: int) -> np.ndarray:
 
 def gammas(rng, shape: float, scale: float, size: int) -> np.ndarray:
     """size Gamma(shape, scale) draws (mean shape*scale), of shape*size uniforms
-    (at most 2**53) at a whole shape, else size. rng is one stream, or R streams
+    (at most 2**53) at a whole shape up to 16, else size. rng is one stream, or R streams
     for an (R, size) array whose row r is ``gammas(rng[r], shape, scale, size)``.
     """
     _finite("shape", shape, positive=True)
     _finite("scale", scale, positive=True)
     size = _check_size(size)
-    per = int(shape) if float(shape).is_integer() and size else 1  # no draws: no shape axis
+    per = _gamma_uniforms(shape)
     if (k := per * size) > 2**53:
         raise ValidationError(f"shape {shape!r} and size {size} need more than 2**53 uniforms")
     u = rng.next_uniforms(k) if isinstance(rng, RngStream) else uniform_rows(rng, k)
     return _gamma_variates(u.reshape(u.shape[:-1] + (per, size)), shape, scale, -2)
 
 
+def _gamma_uniforms(shape: float) -> int:
+    """A Gamma draw's uniforms: a whole shape up to 16 sums that many exponentials, and
+    any other inverts the CDF at one, so that no draw's work grows with its shape."""
+    return int(shape) if shape <= 16 and float(shape).is_integer() else 1
+
+
 def _gamma_variates(u: np.ndarray, shape: float, scale: float, axis: int) -> np.ndarray:
-    """Gammas of the uniforms u, a draw's along axis, overwriting u: a whole shape
-    sums -scale*log(1 - u) over them, any other inverts the CDF at the one."""
-    if not float(shape).is_integer():
+    """Gammas of the uniforms u, ``_gamma_uniforms(shape)`` a draw's along axis,
+    overwriting u: as many as the shape are summed as -scale*log(1 - u), one inverted."""
+    if u.shape[axis] != shape and u.size:  # an empty draw needs no inversion, nor SciPy
         # imported on first use: scipy.special adds ~25 MiB and 0.3-0.6 s to any import of finset
         from scipy.special import gammaincinv
-        g = gammaincinv(float(shape), u.squeeze(axis))
-        g *= scale
-        return g
+        return np.multiply(g := gammaincinv(float(shape), u.squeeze(axis)), scale, out=g)
     np.log1p(np.negative(u, out=u), out=u)
-    g = u.sum(axis=axis)  # pairwise along a contiguous axis of 8 or more, else in order
-    g *= -scale
-    return g
+    # summed pairwise along a contiguous axis of 8 or more, else in order
+    return np.multiply(g := u.sum(axis=axis), -scale, out=g)

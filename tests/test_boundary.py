@@ -130,8 +130,9 @@ CASES = [
      rf"size must be at most 2\*\*53, got {PAST}"),
     ("gammas size past 2**53", lambda: gammas(RngStream(0), 2.5, 1.0, PAST),
      rf"size must be at most 2\*\*53, got {PAST}"),
-    ("gammas uniforms past 2**53", lambda: gammas(RngStream(0), 2.0**70, 1.0, 1),
-     r"shape 1.1805916207174113e\+21 and size 1 need more than 2\*\*53 uniforms"),
+    # 16 is the largest shape summed; a larger whole one (2.0**70) takes one uniform a draw
+    ("gammas uniforms past 2**53", lambda: gammas(RngStream(0), 16.0, 1.0, 2**49 + 1),
+     rf"shape 16.0 and size {2**49 + 1} need more than 2\*\*53 uniforms"),
     ("gammas shape times size past 2**53", lambda: gammas(RngStream(0), 3, 1.0, 2**52),
      rf"shape 3 and size {2**52} need more than 2\*\*53 uniforms"),
     ("simulate_truth num_steps past 2**53", lambda: simulate_truth(PAST, RngStream(0)),

@@ -281,7 +281,8 @@ class TestBenchmarkCommand:
                        "M = 5, n = 5\n")
 
     def test_default_run_leaves_scipy_unimported(self, tmp_path):
-        # only a fractional Gamma shape needs scipy; importing it costs ~25 MiB
+        # only an inverted Gamma draw (a fractional shape, or a whole one past 16) needs
+        # scipy; importing it costs ~25 MiB
         code = ("import sys; from finset.cli import main; "
                 f"code = main(['benchmark', '--output', {str(tmp_path / 'r.csv')!r}]); "
                 "print(code, 'scipy' in sys.modules)")

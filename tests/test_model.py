@@ -1,7 +1,10 @@
 import functools
 import hashlib
 import math
+import os
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -309,6 +312,21 @@ class TestSimulateTruth:
         assert outputs == 2 * 2 * steps * 8
         assert peak <= 1.5 * outputs, peak / outputs
         assert [g.draws for g in streams] == [steps * 5] * 2
+
+    @pytest.mark.parametrize("shape", [16.0, 17.0])
+    def test_gamma_noise_past_shape_16_is_one_inverted_uniform(self, shape):
+        # up to 16 a step sums shape exponentials; past it, it inverts the CDF
+        # at one uniform, as gammas does, then draws its Box-Muller pair
+        from scipy.special import gammaincinv
+        params = ModelParams(gamma_shape=shape)
+        rng = RngStream(5)
+        xs, _ = simulate_truth(3, rng, params)
+        k = 16 if shape == 16.0 else 1
+        assert rng.draws == 3 * (k + 2)
+        u = RngStream(5).next_uniforms(k)
+        noise = (2.0 * gammaincinv(shape, u[0]) if k == 1
+                 else -2.0 * np.log1p(-u).sum())
+        assert xs[0] == state_transition(0.0, 1, noise, params)
 
     @pytest.mark.parametrize("shape", [3.0, 2.5])
     def test_sequence_of_streams_gives_one_row_each(self, shape):
@@ -627,7 +645,7 @@ class TestBatchedRuns:
         assert record_digest(run_benchmark(cfg)) == want
         assert entry.calls == 3 * 2
 
-    @pytest.mark.parametrize("shape, k", [(3.0, 3), (2.5, 1)])
+    @pytest.mark.parametrize("shape, k", [(3.0, 3), (2.5, 1), (17.0, 1)])
     def test_each_family_draws_its_documented_uniforms(self, monkeypatch, shape, k):
         # truth k + 2 a step; filter its initial normals and k*M a step; multinomial
         # n a step, residual what the floors leave, systematic, rsr and the baseline
@@ -806,3 +824,79 @@ class TestBatchedRuns:
         per_row = run_benchmark(cfg)
         assert len(calls) == runs * 3 * (len(METHODS) + 1)
         assert record_digest(rows) == record_digest(per_row)
+
+
+def float_scratch_sv(counts, stored, n):
+    """A step's sv as taken before n*w was shared: n*w into a float scratch, then
+    the discrepancies in its place."""
+    d = np.empty_like(stored)
+    d = np.subtract(counts, np.multiply(stored, n, out=d), out=d)
+    d *= d
+    return np.add.reduce(d, axis=1) / d.shape[1]
+
+
+@pytest.mark.parametrize("kind, replaced", [(lambda c: c.astype(np.int32), "int32"),
+                                            (lambda c: c.tolist(), "own")],
+                         ids=["int32 counts", "list counts"])
+def test_svs_through_the_counts_buffer_match_a_float_scratch(kind, replaced, monkeypatch):
+    # the int64 counts of a row kernel, or of a replaced entry's lists, take their
+    # sv's discrepancies in their own buffer; int32 counts take a fresh one
+    cfg = BenchmarkConfig(num_particles=9, num_steps=4, num_mc_runs=3, seed=8)
+    want = record_digest(run_benchmark(cfg))
+    for name in ("residual", "msv"):
+        monkeypatch.setitem(RESAMPLERS, name, lambda p, n, g, fn=RESAMPLERS[name]:
+                            types.SimpleNamespace(sizes=kind(fn(p, n, g).sizes)))
+    built, scratch, rows, sv = [], [], model._Rows, model._sv
+    monkeypatch.setattr(model, "_Rows", lambda w, n, nw: built.append((w, n)) or rows(w, n, nw))
+
+    def spy_sv(counts, nw, d=None):
+        stored, n = built[-1]
+        old = float_scratch_sv(np.array(counts), stored, n)  # before d overwrites the counts
+        got = sv(counts, nw, d)
+        assert got.tobytes() == old.tobytes()
+        scratch.append("own" if d is not None else counts.dtype.name)
+        return got
+
+    monkeypatch.setattr(model, "_sv", spy_sv)
+    assert record_digest(run_benchmark(cfg)) == want
+    assert scratch == ["own", replaced, "own", "own", replaced] * 4  # in METHODS order
+
+
+def test_sir_step_takes_its_sv_in_a_fresh_scratch(monkeypatch):
+    # its one scheme is measured and advances: its counts stay whole for the
+    # gather, and the golden step is unchanged
+    seen, sv = [], model._sv
+    monkeypatch.setattr(model, "_sv", lambda c, nw, d=None: seen.append(d) or sv(c, nw, d))
+    p = ParticleSet([0.0, 1.0, -0.5], WeightVector([1 / 3] * 3))
+    new, _, got = sir_step(p, 1.5, 1, "systematic", RngStream(7))
+    assert seen == [None]
+    assert got == pytest.approx(1.842306531256124e-05, rel=1e-12)
+    assert list(new.states) == [3.658990534672466] * 3
+
+
+def finset_lines(runs, seed):
+    """Python lines executed inside finset's modules by a 2-step run at M = 100."""
+    root, count = os.path.dirname(model.__file__), [0]
+
+    def line(frame, event, arg):
+        count[0] += event == "line"
+        return line
+
+    cfg = BenchmarkConfig(num_particles=100, num_steps=2, num_mc_runs=runs, seed=seed)
+    run_benchmark(cfg)  # warm: first-use imports and caches are not counted
+    sys.settrace(lambda frame, event, arg: line if frame.f_code.co_filename.startswith(root)
+                 else None)
+    try:
+        run_benchmark(cfg)
+    finally:
+        sys.settrace(None)
+    return count[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_step_runs_no_python_per_row(seed):
+    # at M = 100 every block loop runs once at 2 and at 100 rows, so only per-row
+    # Python adds lines; the tie fix of the rows whose cut ties is all that is left
+    # (a surplus tuple and its per-row checks took 1 864 -> 3 436 lines, +84 %)
+    few, many = finset_lines(2, seed), finset_lines(100, seed)
+    assert many <= 1.02 * few, (few, many)

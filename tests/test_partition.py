@@ -156,6 +156,49 @@ class TestLmsePartition:
         assert a.sizes.sum() == 1
 
 
+# Rows checked together must name the first failing row, as a loop over the
+# rows did. At n = 2**55 + 3 (a float of 2**55) these three-bin rows' floors
+# leave 3 (valid, at most M), -1 and M + 1 = 4 units.
+PAST_N = 2**55 + 3
+FINE_ROWS = [[1.0, 0.0, 0.0], [0.5, 0.25, 0.25]]
+LEAVES_MINUS_ONE = [0.3879887635197909, 0.21036854944026534, 0.4016426870399439]
+LEAVES_M_PLUS_ONE = [0.12603810693225706, 0.16340873706198383, 0.7105531560057591]
+
+
+@pytest.mark.parametrize("bad, left", [
+    ([LEAVES_MINUS_ONE], -1),
+    ([LEAVES_M_PLUS_ONE], 4),
+    ([LEAVES_MINUS_ONE, LEAVES_M_PLUS_ONE], -1),
+    ([LEAVES_M_PLUS_ONE, LEAVES_MINUS_ONE], 4),
+], ids=["-1 units", "M + 1 units", "-1 then M + 1", "M + 1 then -1"])
+def test_weight_rows_refuse_the_first_row_whose_floors_lose_units(bad, left):
+    rows = partition._Rows(np.array(FINE_ROWS + bad), PAST_N)
+    with pytest.raises(ValidationError) as info:
+        rows.split()
+    assert str(info.value) == (f"n = {PAST_N} is past float precision for these weights: "
+                               f"the floors leave {left} units for 3 bins")
+    for fine in FINE_ROWS:  # each row alone is fine
+        assert partition._Rows(np.array([fine]), PAST_N).split()[1].tolist() == [3]
+
+
+def test_weight_rows_refuse_the_row_whose_residuals_all_round_to_0():
+    # row 0 leaves no unit and has no residual mass, row 1 leaves one with mass,
+    # and row 2, the stored weights of test_boundary's LOST_UNIT, leaves one
+    # with none; only row 2 is refused
+    n = 8443287019856399
+    rows = partition._Rows(np.array([[1.0, 0.0], [0.5, 0.5],
+                                     [0.5207222343025516, 0.47927776569744834]]), n)
+    _, surplus, floored = rows.split()
+    assert surplus.tolist() == [0, 1, 1]
+    with pytest.raises(ValidationError) as info:
+        rows.residual_cdf(rows.residuals(floored), surplus)
+    assert str(info.value) == (f"n = {n} is past float precision for these weights: the floors "
+                               f"leave 1 units, and every residual rounds to 0")
+    fine = partition._Rows(rows.weights[:2], n)  # without row 2, the CDFs are built
+    cdf = fine.residual_cdf(fine.residuals(fine.split()[2]), fine.split()[1])
+    assert cdf[0].tolist() == [0.0, 0.0] and cdf[1].tolist() == [0.5, 1.0]
+
+
 class TestResiduals:
     def test_fractional_parts(self):
         r = residuals([0.46, 0.34, 0.20], 5).residuals

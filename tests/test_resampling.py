@@ -571,13 +571,14 @@ def test_weight_rows_equal_one_row_each(m, n):
 
     floored = rows.floored()
     all_floors, surpluses, all_res, residual_cdf = parts(rows)
-    assert rows.floors[0] is all_floors and rows.floors[1] == surpluses  # kept for the next
+    assert rows.floors[0] is all_floors and rows.floors[1] is surpluses  # kept for the next
     kept, _, again = rows.split()
     assert kept is all_floors and same(again, floored)  # a second split floors again
-    for a in (rows.cdf, all_floors):  # shared by every scheme
+    for a in (rows.cdf, all_floors, surpluses):  # shared by every scheme
         assert not a.flags.writeable
-    assert surpluses == tuple(s for r in range(len(stored))
-                              for s in _Rows(stored[r:r + 1], n).split()[1])
+    assert surpluses.dtype == np.int64 and surpluses.shape == (len(stored),)
+    assert surpluses.tolist() == [s for r in range(len(stored))
+                                  for s in _Rows(stored[r:r + 1], n).split()[1].tolist()]
     for r, (w, wv) in enumerate(zip(stored, rows.populations())):
         assert wv.weights is not w and same(wv.weights, w)
         assert same(rows.cdf[r], _cdf(np.cumsum(w)))  # the one-row search

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from finset import rng as rng_module
 from finset.partition import ValidationError
 from finset.rng import (RngStream, _ragged_rows, _spawn_rows, _stream_rows, _Streams, gammas,
                         normals, uniform_rows)
@@ -176,7 +181,7 @@ def test_ragged_rows_are_each_streams_own_draws(ks):
     alone = [RngStream(g.seed) for g in streams]
     for a, g in zip(alone, streams):
         a.next_uniforms(g.draws)
-    block = _ragged_rows(streams, np.array(ks, dtype=np.int64))
+    block = _ragged_rows(streams, np.array(ks, dtype=np.int64), max(ks, default=0))
     assert block.dtype == np.float64 and block.shape == (len(ks), max(ks, default=0))
     for row, a, k in zip(block, alone, ks):
         assert np.array_equal(row[:k], a.next_uniforms(k))  # row r's draws, bit for bit
@@ -195,7 +200,7 @@ def test_stream_rows_draw_spawn_and_slice_as_their_streams():
     first = uniform_rows(children[:3], 4)
     assert children.counts.tolist() == [4, 4, 4, 0, 0]
     assert np.array_equal(first, [a.next_uniforms(4) for a in alone[:3]])
-    block = _ragged_rows(children, np.array([2, 0, 1, 3, 0]))
+    block = _ragged_rows(children, np.array([2, 0, 1, 3, 0]), 3)
     for row, a, k in zip(block, alone, [2, 0, 1, 3, 0]):
         assert np.array_equal(row[:k], a.next_uniforms(k))
     # a fractional Gamma draws from the rows as each stream alone would
@@ -357,8 +362,7 @@ def test_gamma_fractional_shape_inverts_one_uniform_per_draw(shape):
     assert [g.draws for g in rows] == [7, 7, 7]
 
 
-# 2**52 - 0.5 is the largest float with a fractional part; 1e300 is a whole
-# float, whose sum of exponentials would need 1e300 uniforms (refused)
+# 2**52 - 0.5 is the largest float with a fractional part
 @pytest.mark.parametrize("shape", [0.7, 2.5, 1e-300, 2**52 - 0.5])
 def test_gamma_extreme_fractional_shapes_give_finite_draws(shape):
     g = gammas(RngStream(9), shape, 1.0, 1000)
@@ -434,6 +438,46 @@ def test_normals_equal_their_formula_before_the_split(size, rows):
     got, want = normals(a, size), old_normals(b, size)
     assert got.shape == want.shape and np.array_equal(got, want)
     assert draws_of(a) == draws_of(b)
+
+
+# a whole shape above 16 inverts the CDF at one uniform a draw, as a fractional
+# one does: its sum of exponentials took shape*size uniforms, and 1e300 or 2**70
+# was refused; up to 16 the sum stays, bit for bit (test_gammas_equal_their_formula)
+@pytest.mark.parametrize("rows", [None, 3], ids=["one stream", "3 rows"])
+@pytest.mark.parametrize("shape, per", [(16, 16), (16.0, 16), (17, 1), (17.0, 1), (2.0**70, 1),
+                                        (1e300, 1)])
+def test_whole_shapes_above_16_take_one_uniform_a_draw(shape, per, rows):
+    from scipy.special import gammaincinv
+    a, b = stream_pairs(rows)
+    got = gammas(a, shape, 2.0, 50)
+    assert np.all(np.isfinite(got)) and np.all(got > 0)
+    before = draws_of(b)
+    u = b.next_uniforms(per * 50) if rows is None else uniform_rows(b, per * 50)
+    assert draws_of(a) == draws_of(b) != before
+    if per == 1:
+        want = 2.0 * gammaincinv(float(shape), u)
+    else:
+        want = -2.0 * np.log1p(-u.reshape(u.shape[:-1] + (per, 50))).sum(axis=-2)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_large_whole_shape_draws_take_size_uniforms():
+    rng = RngStream(0)
+    assert np.isfinite(gammas(rng, 1e300, 1.0, 1)[0]) and rng.draws == 1
+    got = gammas(rng, 1e4, 1.0, 10**4)  # its sum of exponentials took 10**8 uniforms
+    assert rng.draws == 1 + 10**4 and got.mean() == pytest.approx(1e4, rel=1e-3)
+
+
+def test_empty_and_summed_draws_leave_scipy_unimported():
+    # only an inverted draw needs scipy (~25 MiB and 0.3-0.6 s to import); a
+    # size-0 draw at a shape past 16 inverts nothing
+    code = ("import sys; from finset.rng import RngStream, gammas; "
+            "[gammas(RngStream(0), s, 1.0, z) for s, z in ((1e300, 0), (17, 0), (16, 5))]; "
+            "print('scipy' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(rng_module.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=os.environ | {"PYTHONPATH": src})
+    assert done.stdout == "False\n"
 
 
 def test_gammas_of_size_zero_at_any_whole_shape():
